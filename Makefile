@@ -19,7 +19,7 @@ bench:
 
 # Run every fuzz target over its seed corpus (no fuzzing engine time).
 fuzz-seed:
-	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/rdist
+	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/rdist ./internal/machine ./internal/cliflags
 
 # One-iteration pass over the kernel benchmarks: catches benchmarks that
 # no longer build or crash without paying for stable timings. The
@@ -82,8 +82,10 @@ race-fanout:
 # Race-check the intra-pair parallel kernel specifically: the
 # equivalence, determinism, fallback, tolerance and stats tests spawn
 # real worker pools at K in {2,3,4,8} (short stream lengths under
-# -short keep it fast).
+# -short keep it fast), and the pinned-result test holds every windowed
+# run path (sampled, parallel, shared, scenario, threaded) to its
+# committed result digests.
 race-kernel:
-	$(GO) test -race -short -run='^TestParallel' -count=1 ./internal/machine
+	$(GO) test -race -short -run='^TestParallel|^TestPinnedResults$$' -count=1 ./internal/machine ./internal/core
 
 ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel

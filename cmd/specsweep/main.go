@@ -12,7 +12,7 @@
 //	          [-screen analytic] [-escalate sampled|exact|off]
 //	          [-metrics ipc,l3_miss_pct] [-sse-weight 5] [-csv]
 //	          [-addr http://host:8217]
-//	          [-cache-dir DIR] [-sampling P/D/W] [-j N] [-progress]
+//	          [-cache-dir DIR] [-scenario sampling=P/D/W] [-j N] [-progress]
 //
 // Without -addr the sweep runs in-process: the -cache-dir store makes
 // it differential, so re-running a sweep (or a wider one sharing grid
@@ -165,6 +165,10 @@ func runLocal(ctx context.Context, cfg config, metrics []string) (*sweep.Result,
 // runServer submits the sweep over /v1/sweeps; with -progress it
 // follows the SSE stream, otherwise it waits server-side.
 func runServer(ctx context.Context, cfg config, metrics []string) (*sweep.Result, error) {
+	sc, err := cliflags.ParseScenario(cfg.Scenario)
+	if err != nil {
+		return nil, err
+	}
 	cl := client.New(cfg.addr)
 	spec := server.SweepSpec{
 		Suite: cfg.suite, Mini: cfg.mini, Size: cfg.size,
@@ -172,12 +176,11 @@ func runServer(ctx context.Context, cfg config, metrics []string) (*sweep.Result
 		Axes:         []sweep.Axis(cfg.axes),
 		Screen:       cfg.screen,
 		Escalate:     cfg.escalate,
-		Sampling:     cfg.SamplingKnob().String(),
+		Sampling:     sc.Sampling.String(),
 		Metrics:      metrics,
 		SSEWeight:    cfg.sseWeight,
 	}
 	var st server.SweepStatus
-	var err error
 	if cfg.Progress {
 		if st, err = cl.SubmitSweep(ctx, spec); err != nil {
 			return nil, err

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	specvalidate [-suite cpu2017|cpu2006] [-size ref] [-n instructions] [-worst 15]
-//	             [-progress] [-cache-dir DIR] [-sampling off|default|P/D/W]
+//	             [-progress] [-cache-dir DIR] [-scenario S]
 //	             [-j N] [-trace FILE] [-slow-pair DUR]
 //
 // Ctrl-C (or SIGTERM) cancels the in-flight campaign through the

@@ -1,7 +1,7 @@
 // Package cliflags centralizes the campaign flags and end-of-run
 // reporting shared by the speckit command-line tools (specchar,
 // specsubset, specvalidate): the -progress meter, the -cache-dir
-// persistent store, the -sampling fidelity knob, the -batch kernel
+// persistent store, the -scenario measurement knob, the -batch kernel
 // knob, and the observability pair -trace (JSONL run manifest) and
 // -slow-pair (per-pair latency warnings). Each tool embeds a Campaign,
 // registers the flags, builds its campaign options from it, and calls
@@ -36,29 +36,15 @@ type Campaign struct {
 	// CacheDir is the persistent result-store directory (-cache-dir,
 	// empty = in-memory cache only).
 	CacheDir string
-	// Sampling is the raw systematic-sampling knob (-sampling); empty
-	// means "off".
-	Sampling string
-	// Fidelity is the raw simulation-tier selector (-fidelity); empty
-	// means "exact".
-	Fidelity string
 	// Batch is the simulation kernel batch size in uops (-batch, 0 =
 	// default).
 	Batch int
 	// Parallelism bounds concurrent pair simulations (-j, 0 = NumCPU).
 	Parallelism int
-	// PairWorkers splits each pair's measured stream into that many
-	// concurrently simulated windows (-j-pair, <=1 = sequential kernel).
-	PairWorkers int
-	// Rate is the rate-mode copy count (-rate, <=1 = single copy).
-	Rate int
-	// Topo is the raw heterogeneous-topology selector (-topo); empty
-	// means homogeneous.
-	Topo string
-	// Scenario is the raw consolidated scenario selector (-scenario);
-	// when non-empty it replaces the individual scenario knobs
-	// (-sampling, -fidelity, -j-pair, -rate, -topo), which must then
-	// stay at their defaults.
+	// Scenario is the raw measurement scenario selector (-scenario):
+	// fidelity tier, sampling knob, intra-pair parallelism, rate copies
+	// and topology in one string; empty means exact, single-copy,
+	// homogeneous.
 	Scenario string
 	// TraceFile, when set, records the campaign's span tree and writes
 	// it there as a JSONL run manifest (-trace).
@@ -77,32 +63,21 @@ type Campaign struct {
 // Register installs the shared flags on fs (flag.CommandLine in the
 // tools' main).
 func (c *Campaign) Register(fs *flag.FlagSet) {
-	if c.Sampling == "" {
-		c.Sampling = "off"
-	}
-	if c.Fidelity == "" {
-		c.Fidelity = "exact"
-	}
 	fs.BoolVar(&c.Progress, "progress", c.Progress, "print a live progress meter (with per-tier cache hits) to stderr")
 	fs.StringVar(&c.CacheDir, "cache-dir", c.CacheDir, "persistent result-store directory: pair results are saved as checksummed content-addressed records, and repeated runs with the same models, machine and options are re-used bit-identically instead of re-simulated (empty = in-memory cache only)")
-	fs.StringVar(&c.Sampling, "sampling", c.Sampling, "systematic-sampling fidelity knob: off, default, or PERIOD/DETAIL/WARMUP instruction counts (e.g. 262144/8192/8192); sampled results are bounded-error estimates and never share cache entries with exact runs")
-	fs.StringVar(&c.Fidelity, "fidelity", c.Fidelity, "simulation tier: exact (every uop), sampled (periodic detailed windows; same as -sampling default), or analytic (miss-curve prediction from a reuse-distance profile — the fastest tier); non-exact results are bounded-error estimates and never share cache entries across tiers")
 	fs.IntVar(&c.Batch, "batch", c.Batch, "simulation kernel batch size in uops (0 = default; results are batch-size independent)")
 	fs.IntVar(&c.Parallelism, "j", c.Parallelism, "concurrent pair simulations (0 = NumCPU)")
-	fs.IntVar(&c.PairWorkers, "j-pair", c.PairWorkers, "intra-pair parallelism: split each pair's measured stream into N windows simulated concurrently and stitched with frozen-cache warm state (exact tier only; other tiers ignore it); results are tolerance-gated estimates of the sequential run, bit-reproducible for a fixed N and cached under separate keys (<=1 = sequential kernel)")
-	fs.IntVar(&c.Rate, "rate", c.Rate, "rate-mode copy count: characterize each pair as N co-running copies with private L1/L2 contending on one shared inclusive L3, reporting per-copy and aggregate throughput plus shared-level contention stats (exact tier only; cached under separate keys; <=1 = single copy)")
-	fs.StringVar(&c.Topo, "topo", c.Topo, "heterogeneous topology, e.g. 4P4E-random: run each pair on a P-core/E-core machine under the given OS-placement policy (pinned-p, pinned-e, random, best, worst); random placement yields a runtime distribution (exact tier only; cached under separate keys; empty = homogeneous)")
-	fs.StringVar(&c.Scenario, "scenario", c.Scenario, "consolidated measurement scenario, comma-separated tokens: a fidelity tier (exact, sampled, analytic), sampling=PERIOD/DETAIL/WARMUP, j-pair=N, rate=N, topo=4P4E-random; replaces -sampling, -fidelity, -j-pair, -rate and -topo, which must then stay unset")
+	fs.StringVar(&c.Scenario, "scenario", c.Scenario, "measurement scenario, comma-separated tokens: a fidelity tier (exact, sampled, analytic), sampling=PERIOD/DETAIL/WARMUP, j-pair=N, rate=N, topo=4P4E-random; non-exact and multi-copy scenarios never share cache entries with exact runs")
 	fs.StringVar(&c.TraceFile, "trace", c.TraceFile, "write the campaign's span tree (campaign -> pair -> simulation stages, with cache-tier outcomes) to FILE as a JSONL run manifest; never affects results or cache identity")
 	fs.DurationVar(&c.SlowPair, "slow-pair", c.SlowPair, "warn on stderr about pairs slower than this wall-time threshold (e.g. 2s; 0 = off)")
 }
 
 // Options builds the campaign options the flags describe: the parsed
-// sampling knob, a fresh shared cache, the optional persistent store,
+// scenario, a fresh shared cache, the optional persistent store,
 // the progress meter, and a run trace when -trace or -slow-pair asks
 // for one.
 func (c *Campaign) Options(ctx context.Context) (speckit.Options, error) {
-	scenario, err := c.resolveScenario()
+	scenario, err := ParseScenario(c.Scenario)
 	if err != nil {
 		return speckit.Options{}, err
 	}
@@ -130,55 +105,6 @@ func (c *Campaign) Options(ctx context.Context) (speckit.Options, error) {
 		opts = append(opts, speckit.WithTrace(c.trace))
 	}
 	return speckit.NewOptions(opts...), nil
-}
-
-// resolveScenario folds the scenario flags into one speckit.Scenario:
-// -scenario when set (the individual knobs must then stay at their
-// defaults), otherwise the individual -sampling/-fidelity/-j-pair/
-// -rate/-topo flags.
-func (c *Campaign) resolveScenario() (speckit.Scenario, error) {
-	if c.Scenario != "" {
-		conflict := ""
-		switch {
-		case c.Sampling != "" && c.Sampling != "off":
-			conflict = "-sampling"
-		case c.Fidelity != "" && c.Fidelity != "exact":
-			conflict = "-fidelity"
-		case c.PairWorkers > 1:
-			conflict = "-j-pair"
-		case c.Rate > 1:
-			conflict = "-rate"
-		case c.Topo != "" && c.Topo != "off":
-			conflict = "-topo"
-		}
-		if conflict != "" {
-			return speckit.Scenario{}, fmt.Errorf("-scenario replaces %s; set the knob in the scenario string instead", conflict)
-		}
-		return ParseScenario(c.Scenario)
-	}
-	sampling, err := speckit.ParseSampling(c.Sampling)
-	if err != nil {
-		return speckit.Scenario{}, err
-	}
-	fidelity, err := speckit.ParseFidelity(c.Fidelity)
-	if err != nil {
-		return speckit.Scenario{}, err
-	}
-	if fidelity == speckit.FidelityAnalytic && sampling.Enabled() {
-		return speckit.Scenario{}, fmt.Errorf("-fidelity analytic does not compose with -sampling")
-	}
-	topo, err := speckit.ParseTopology(c.Topo)
-	if err != nil {
-		return speckit.Scenario{}, err
-	}
-	s := speckit.Scenario{
-		Fidelity:         fidelity,
-		Sampling:         sampling,
-		IntraPairWorkers: c.PairWorkers,
-		RateCopies:       c.Rate,
-		Topology:         topo,
-	}
-	return s, s.Validate()
 }
 
 // ParseScenario parses the -scenario flag syntax shared by the cmd
@@ -233,12 +159,6 @@ func ParseScenario(s string) (speckit.Scenario, error) {
 // ScenarioKnob returns the scenario resolved by Options (zero before
 // then).
 func (c *Campaign) ScenarioKnob() speckit.Scenario { return c.scenario }
-
-// SamplingKnob returns the knob parsed by Options (zero before then).
-func (c *Campaign) SamplingKnob() speckit.Sampling { return c.scenario.Sampling }
-
-// FidelityTier returns the tier parsed by Options (exact before then).
-func (c *Campaign) FidelityTier() speckit.Fidelity { return c.scenario.Fidelity }
 
 // Finish completes the shared end-of-run reporting: the tiered
 // cache-stats line under -progress, slow-pair warnings, and the JSONL

@@ -19,57 +19,55 @@ func TestRegisterAndParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Register(fs)
 	err := fs.Parse([]string{
-		"-progress", "-cache-dir", "/tmp/x", "-sampling", "default",
-		"-fidelity", "sampled",
-		"-batch", "128", "-j", "2", "-j-pair", "8", "-trace", "run.jsonl", "-slow-pair", "2s",
+		"-progress", "-cache-dir", "/tmp/x", "-scenario", "sampled,j-pair=8",
+		"-batch", "128", "-j", "2", "-trace", "run.jsonl", "-slow-pair", "2s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Campaign{
-		Progress: true, CacheDir: "/tmp/x", Sampling: "default", Fidelity: "sampled",
-		Batch: 128, Parallelism: 2, PairWorkers: 8, TraceFile: "run.jsonl", SlowPair: 2 * time.Second,
+		Progress: true, CacheDir: "/tmp/x", Scenario: "sampled,j-pair=8",
+		Batch: 128, Parallelism: 2, TraceFile: "run.jsonl", SlowPair: 2 * time.Second,
 	}
 	if c != want {
 		t.Errorf("parsed = %+v, want %+v", c, want)
 	}
 
-	// Defaults: sampling reads as "off", fidelity as "exact", everything
-	// else zero.
+	// Defaults: everything zero, which is the exact scenario.
 	var d Campaign
 	fs = flag.NewFlagSet("defaults", flag.ContinueOnError)
 	d.Register(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if d.Sampling != "off" || d.Fidelity != "exact" || d.Progress || d.TraceFile != "" || d.SlowPair != 0 {
+	if d != (Campaign{}) {
 		t.Errorf("defaults = %+v", d)
 	}
 }
 
 func TestOptionsBadSampling(t *testing.T) {
-	c := Campaign{Sampling: "not-a-knob"}
+	c := Campaign{Scenario: "sampling=not-a-knob"}
 	if _, err := c.Options(context.Background()); err == nil {
 		t.Fatal("bad sampling knob accepted")
 	}
 }
 
 func TestOptionsFidelity(t *testing.T) {
-	c := Campaign{Fidelity: "analytic"}
+	c := Campaign{Scenario: "analytic"}
 	opt, err := c.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Fidelity != speckit.FidelityAnalytic || c.FidelityTier() != speckit.FidelityAnalytic {
-		t.Errorf("fidelity = %v (tier %v), want analytic", opt.Fidelity, c.FidelityTier())
+	if opt.Fidelity != speckit.FidelityAnalytic || c.ScenarioKnob().Fidelity != speckit.FidelityAnalytic {
+		t.Errorf("fidelity = %v (tier %v), want analytic", opt.Fidelity, c.ScenarioKnob().Fidelity)
 	}
 
-	if _, err := (&Campaign{Fidelity: "turbo"}).Options(context.Background()); err == nil {
+	if _, err := (&Campaign{Scenario: "fidelity=turbo"}).Options(context.Background()); err == nil {
 		t.Error("bad fidelity tier accepted")
 	}
 
-	// -j-pair reaches the campaign options untranslated.
-	pw := Campaign{PairWorkers: 8}
+	// j-pair reaches the campaign options untranslated.
+	pw := Campaign{Scenario: "j-pair=8"}
 	popt, err := pw.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +76,7 @@ func TestOptionsFidelity(t *testing.T) {
 		t.Errorf("IntraPairWorkers = %d, want 8", popt.IntraPairWorkers)
 	}
 
-	bad := Campaign{Fidelity: "analytic", Sampling: "default"}
+	bad := Campaign{Scenario: "analytic,sampling=default"}
 	if _, err := bad.Options(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "analytic") {
 		t.Errorf("analytic+sampling = %v, want rejection", err)
@@ -136,47 +134,12 @@ func TestParseScenario(t *testing.T) {
 	}
 }
 
-// TestScenarioFlagConflicts: -scenario replaces the individual knobs;
-// setting both is an error naming the conflicting flag, never a silent
-// merge.
-func TestScenarioFlagConflicts(t *testing.T) {
-	cases := []struct {
-		c    Campaign
-		flag string
-	}{
-		{Campaign{Scenario: "rate=4", Sampling: "default"}, "-sampling"},
-		{Campaign{Scenario: "rate=4", Fidelity: "sampled"}, "-fidelity"},
-		{Campaign{Scenario: "rate=4", PairWorkers: 8}, "-j-pair"},
-		{Campaign{Scenario: "exact", Rate: 4}, "-rate"},
-		{Campaign{Scenario: "exact", Topo: "4P4E-random"}, "-topo"},
-	}
-	for _, tc := range cases {
-		_, err := tc.c.Options(context.Background())
-		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("%+v: err = %v, want conflict naming %s", tc.c, err, tc.flag)
-		}
-	}
-
-	// Default spellings of the individual flags do not conflict.
-	ok := Campaign{Scenario: "rate=4,topo=4P4E-random", Sampling: "off", Fidelity: "exact"}
-	opt, err := ok.Options(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.RateCopies != 4 || !opt.Topology.Enabled() {
-		t.Errorf("scenario did not reach the options: %+v", opt)
-	}
-	if s := ok.ScenarioKnob().String(); s != "rate=4,topo=4P4E-random" {
-		t.Errorf("ScenarioKnob = %q", s)
-	}
-}
-
-// TestScenarioFlagEquivalence: a -scenario string and the individual
-// flags it replaces resolve to identical campaign options — one
-// scenario, one cache keyspace, regardless of spelling.
+// TestScenarioFlagEquivalence: every spelling of one scenario — token
+// order, bare tier or fidelity= key, spacing and case — resolves to
+// identical campaign options: one scenario, one cache keyspace.
 func TestScenarioFlagEquivalence(t *testing.T) {
 	composed := Campaign{Scenario: "sampled,j-pair=4"}
-	split := Campaign{Fidelity: "sampled", PairWorkers: 4}
+	split := Campaign{Scenario: " J-Pair=4 , fidelity=sampled "}
 	co, err := composed.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +154,19 @@ func TestScenarioFlagEquivalence(t *testing.T) {
 	if co.Fidelity != so.Fidelity || co.Sampling != so.Sampling ||
 		co.IntraPairWorkers != so.IntraPairWorkers ||
 		co.RateCopies != so.RateCopies || co.Topology != so.Topology {
-		t.Error("composed and split scenario flags derive different options")
+		t.Error("two spellings of one scenario derive different options")
+	}
+
+	rate := Campaign{Scenario: "rate=4,topo=4P4E-random"}
+	opt, err := rate.Options(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.RateCopies != 4 || !opt.Topology.Enabled() {
+		t.Errorf("scenario did not reach the options: %+v", opt)
+	}
+	if s := rate.ScenarioKnob().String(); s != "rate=4,topo=4P4E-random" {
+		t.Errorf("ScenarioKnob = %q", s)
 	}
 }
 

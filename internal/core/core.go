@@ -314,23 +314,14 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	mopt := machine.Options{
-		Instructions:       opt.Instructions,
-		WarmupInstructions: gen.Prologue(),
-		Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
-		CalibrateIPC:       m.TargetIPC,
-		Context:            ctx,
-		BatchSize:          opt.BatchSize,
-		Sampling:           opt.Sampling,
-		Span:               obs.SpanFromContext(ctx),
-	}
+	mopt := pairOptions(ctx, m, opt, gen.Prologue())
 	if opt.Sampling.Enabled() {
 		// Under sampling the fractional pre-measurement warmup would
 		// simulate a quarter of the stream in full and cap the speedup
 		// near 2x; the sampled loop's own settle period plus per-window
 		// re-warms replace it (see machine.Sampling), so only the
 		// generator prologue stays mandatory.
-		mopt.WarmupFraction = -1
+		mopt.Sampling, mopt.WarmupFraction = opt.Sampling, -1
 	}
 	var res *machine.Result
 	switch {
@@ -356,13 +347,6 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		Pair:          pair,
 		InstrBillions: m.InstrBillions,
 		IPC:           counters.IPC(),
-		LoadPct:       counters.LoadPct(),
-		StorePct:      counters.StorePct(),
-		BranchPct:     counters.BranchPct(),
-		MispredictPct: counters.MispredictPct(),
-		L1MissPct:     counters.CacheMissPct(1),
-		L2MissPct:     counters.CacheMissPct(2),
-		L3MissPct:     counters.CacheMissPct(3),
 		RSSMiB:        m.RSSMiB,
 		VSZMiB:        m.VSZMiB,
 		Counters:      counters,
@@ -370,19 +354,94 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		Calibrated:    res.Calibrated,
 		Sampling:      res.Sampling,
 	}
-	branches := float64(counters.MustValue(perf.AllBranches))
-	if branches > 0 {
-		pct := func(name string) float64 {
-			return 100 * float64(counters.MustValue(name)) / branches
-		}
-		c.CondPct = pct(perf.CondBranches)
-		c.JumpPct = pct(perf.DirectJumps)
-		c.CallPct = pct(perf.DirectCalls)
-		c.IndirectPct = pct(perf.IndirectJumps)
-		c.ReturnPct = pct(perf.Returns)
-	}
+	c.addMix(counters, 1)
 	c.ExecSeconds = execSeconds(m.InstrBillions, c.IPC, opt.Machine.ClockHz, m.Threads)
 	return c, nil
+}
+
+// pairOptions builds the machine options a pair's simulation runs with:
+// the measured window, the generator prologue as mandatory warmup, the
+// pair's MLP and IPC target, and the campaign's kernel knobs.
+func pairOptions(ctx context.Context, m profile.Model, opt Options, prologue uint64) machine.Options {
+	return machine.Options{
+		Instructions:       opt.Instructions,
+		WarmupInstructions: prologue,
+		Workload:           machine.WorkloadFromModel(m.MLP),
+		CalibrateIPC:       m.TargetIPC,
+		Context:            ctx,
+		BatchSize:          opt.BatchSize,
+		Span:               obs.SpanFromContext(ctx),
+	}
+}
+
+// addMix accumulates, at weight w, the instruction mix, mispredict and
+// miss rates, and branch-class shares a counter snapshot measures. A
+// single-stream pair adds its one snapshot at weight 1; a scenario adds
+// each placement mode's at its probability.
+func (c *Characteristics) addMix(ctr *perf.Counters, w float64) {
+	c.LoadPct += w * ctr.LoadPct()
+	c.StorePct += w * ctr.StorePct()
+	c.BranchPct += w * ctr.BranchPct()
+	c.MispredictPct += w * ctr.MispredictPct()
+	c.L1MissPct += w * ctr.CacheMissPct(1)
+	c.L2MissPct += w * ctr.CacheMissPct(2)
+	c.L3MissPct += w * ctr.CacheMissPct(3)
+	c.addBranchClasses(ctr, w)
+}
+
+// addBranchClasses accumulates, at weight w, each branch class's share
+// of all branches.
+func (c *Characteristics) addBranchClasses(ctr *perf.Counters, w float64) {
+	branches := float64(ctr.MustValue(perf.AllBranches))
+	if branches <= 0 {
+		return
+	}
+	pct := func(name string) float64 {
+		return 100 * w * float64(ctr.MustValue(name)) / branches
+	}
+	c.CondPct += pct(perf.CondBranches)
+	c.JumpPct += pct(perf.DirectJumps)
+	c.CallPct += pct(perf.DirectCalls)
+	c.IndirectPct += pct(perf.IndirectJumps)
+	c.ReturnPct += pct(perf.Returns)
+}
+
+// addCPIStack sums one core's CPI stack into the result and carries its
+// calibration outcome.
+func (c *Characteristics) addCPIStack(r *machine.Result) {
+	c.Breakdown.Base += r.Breakdown.Base
+	c.Breakdown.Mispredict += r.Breakdown.Mispredict
+	c.Breakdown.L2 += r.Breakdown.L2
+	c.Breakdown.L3 += r.Breakdown.L3
+	c.Breakdown.Memory += r.Breakdown.Memory
+	c.Breakdown.Fetch += r.Breakdown.Fetch
+	c.Breakdown.TLB += r.Breakdown.TLB
+	c.Calibrated = c.Calibrated || r.Calibrated
+}
+
+// copies builds n decorrelated copies of a model's stream: each seeds
+// its address stream apart, the way OpenMP threads and rate copies run
+// distinct data. Threads share one problem (share true), so each works
+// on its slice of the footprint; rate copies each run the whole problem.
+// It returns the sources and the longest generator prologue, the warmup
+// every copy must cover.
+func copies(m profile.Model, geo synth.Geometry, n int, share bool) ([]trace.Source, uint64, error) {
+	srcs := make([]trace.Source, n)
+	var prologue uint64
+	for i := range srcs {
+		tm := m
+		tm.Seed = m.Seed + uint64(i)*0x9e37
+		if share {
+			tm.RSSMiB = m.RSSMiB / float64(n)
+		}
+		gen, err := synth.New(tm, geo)
+		if err != nil {
+			return nil, 0, err
+		}
+		prologue = max(prologue, gen.Prologue())
+		srcs[i] = gen
+	}
+	return srcs, prologue, nil
 }
 
 // execSeconds models the full-run execution time. A degenerate rate

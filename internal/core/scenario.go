@@ -6,12 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/perf"
-	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/synth"
-	"repro/internal/trace"
 )
 
 // Scenario bundles every knob that changes what a campaign measures —
@@ -163,10 +159,7 @@ type modeRun struct {
 // Runtime extensions.
 func characterizeScenario(ctx context.Context, pair profile.Pair, opt Options) (*Characteristics, error) {
 	m := pair.Model
-	copies := opt.RateCopies
-	if copies < 1 {
-		copies = 1
-	}
+	n := max(opt.RateCopies, 1)
 	topo := opt.Topology
 	modes := []machine.Mode{{Class: "P", Weight: 1}}
 	if topo.Enabled() {
@@ -178,33 +171,13 @@ func characterizeScenario(ctx context.Context, pair profile.Pair, opt Options) (
 		if topo.Enabled() {
 			cfg = topo.ClassConfig(opt.Machine, mode.Class)
 		}
-		srcs := make([]trace.Source, copies)
-		var prologue uint64
-		for i := 0; i < copies; i++ {
-			tm := m
-			// Decorrelate the copies' address streams the way threaded
-			// runs decorrelate OpenMP threads — but unlike threads, rate
-			// copies each run the whole problem, so the footprint is NOT
-			// divided.
-			tm.Seed = m.Seed + uint64(i)*0x9e37
-			gen, err := synth.New(tm, cfg.Geometry())
-			if err != nil {
-				return nil, err
-			}
-			if p := gen.Prologue(); p > prologue {
-				prologue = p
-			}
-			srcs[i] = gen
+		// Rate copies each run the whole problem, so the footprint is
+		// not divided.
+		srcs, prologue, err := copies(m, cfg.Geometry(), n, false)
+		if err != nil {
+			return nil, err
 		}
-		res, err := machine.RunShared(cfg, srcs, machine.Options{
-			Instructions:       opt.Instructions,
-			WarmupInstructions: prologue,
-			Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
-			CalibrateIPC:       m.TargetIPC,
-			Context:            ctx,
-			BatchSize:          opt.BatchSize,
-			Span:               obs.SpanFromContext(ctx),
-		})
+		res, err := machine.RunShared(cfg, srcs, pairOptions(ctx, m, opt, prologue))
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +190,7 @@ func characterizeScenario(ctx context.Context, pair profile.Pair, opt Options) (
 		// average is a variance reduction, matching CharacterizeThreaded.
 		ipc := 0.0
 		for _, pc := range res.PerCore {
-			ipc += pc.IPC / float64(copies)
+			ipc += pc.IPC / float64(n)
 		}
 		runs = append(runs, modeRun{
 			mode:     mode,
@@ -266,39 +239,15 @@ func characterizeScenario(ctx context.Context, pair profile.Pair, opt Options) (
 		w := r.mode.Weight
 		c.IPC += w * r.ipc
 		c.ExecSeconds += w * r.execSec
-		c.LoadPct += w * r.counters.LoadPct()
-		c.StorePct += w * r.counters.StorePct()
-		c.BranchPct += w * r.counters.BranchPct()
-		c.MispredictPct += w * r.counters.MispredictPct()
-		c.L1MissPct += w * r.counters.CacheMissPct(1)
-		c.L2MissPct += w * r.counters.CacheMissPct(2)
-		c.L3MissPct += w * r.counters.CacheMissPct(3)
-		branches := float64(r.counters.MustValue(perf.AllBranches))
-		if branches > 0 {
-			pct := func(name string) float64 {
-				return 100 * w * float64(r.counters.MustValue(name)) / branches
-			}
-			c.CondPct += pct(perf.CondBranches)
-			c.JumpPct += pct(perf.DirectJumps)
-			c.CallPct += pct(perf.DirectCalls)
-			c.IndirectPct += pct(perf.IndirectJumps)
-			c.ReturnPct += pct(perf.Returns)
-		}
+		c.addMix(r.counters, w)
 	}
 	for _, pc := range runs[dom].res.PerCore {
-		c.Breakdown.Base += pc.Breakdown.Base
-		c.Breakdown.Mispredict += pc.Breakdown.Mispredict
-		c.Breakdown.L2 += pc.Breakdown.L2
-		c.Breakdown.L3 += pc.Breakdown.L3
-		c.Breakdown.Memory += pc.Breakdown.Memory
-		c.Breakdown.Fetch += pc.Breakdown.Fetch
-		c.Breakdown.TLB += pc.Breakdown.TLB
-		c.Calibrated = c.Calibrated || pc.Calibrated
+		c.addCPIStack(pc)
 	}
 	if opt.RateCopies > 0 {
 		res := runs[dom].res
 		rate := &RateStats{
-			Copies:            copies,
+			Copies:            n,
 			AggregateIPC:      res.AggregateIPC,
 			SharedL3MPKI:      res.SharedL3MPKI,
 			BackInvalidations: res.BackInvalidations,

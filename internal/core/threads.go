@@ -1,12 +1,11 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/machine"
 	"repro/internal/perf"
-	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/synth"
-	"repro/internal/trace"
 )
 
 // CharacterizeThreaded simulates a multi-threaded pair (Threads > 1) as
@@ -26,29 +25,11 @@ func CharacterizeThreaded(pair profile.Pair, opt Options) (*Characteristics, err
 	if threads <= 1 {
 		return CharacterizePair(pair, opt)
 	}
-	srcs := make([]trace.Source, threads)
-	var prologue uint64
-	for i := 0; i < threads; i++ {
-		tm := m
-		tm.Seed = m.Seed + uint64(i)*0x9e37
-		// Threads share the problem: each works on its slice of the
-		// footprint.
-		tm.RSSMiB = m.RSSMiB / float64(threads)
-		gen, err := synth.New(tm, opt.Machine.Geometry())
-		if err != nil {
-			return nil, err
-		}
-		if p := gen.Prologue(); p > prologue {
-			prologue = p
-		}
-		srcs[i] = gen
+	srcs, prologue, err := copies(m, opt.Machine.Geometry(), threads, true)
+	if err != nil {
+		return nil, err
 	}
-	res, err := machine.RunShared(opt.Machine, srcs, machine.Options{
-		Instructions:       opt.Instructions,
-		WarmupInstructions: prologue,
-		Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
-		CalibrateIPC:       m.TargetIPC,
-	})
+	res, err := machine.RunShared(opt.Machine, srcs, pairOptions(context.TODO(), m, opt, prologue))
 	if err != nil {
 		return nil, err
 	}
@@ -70,28 +51,11 @@ func CharacterizeThreaded(pair profile.Pair, opt Options) (*Characteristics, err
 		c.L1MissPct += core.Counters.CacheMissPct(1) / n
 		c.L2MissPct += core.Counters.CacheMissPct(2) / n
 		c.L3MissPct += core.Counters.CacheMissPct(3) / n
-		c.Breakdown.Base += core.Breakdown.Base
-		c.Breakdown.Mispredict += core.Breakdown.Mispredict
-		c.Breakdown.L2 += core.Breakdown.L2
-		c.Breakdown.L3 += core.Breakdown.L3
-		c.Breakdown.Memory += core.Breakdown.Memory
-		c.Breakdown.Fetch += core.Breakdown.Fetch
-		c.Breakdown.TLB += core.Breakdown.TLB
-		c.Calibrated = c.Calibrated || core.Calibrated
+		c.addCPIStack(core)
 	}
 	c.Counters = sumCounters(res)
-	branches := float64(c.Counters.MustValue(perf.AllBranches))
-	if branches > 0 {
-		pct := func(name string) float64 {
-			return 100 * float64(c.Counters.MustValue(name)) / branches
-		}
-		c.CondPct = pct(perf.CondBranches)
-		c.JumpPct = pct(perf.DirectJumps)
-		c.CallPct = pct(perf.DirectCalls)
-		c.IndirectPct = pct(perf.IndirectJumps)
-		c.ReturnPct = pct(perf.Returns)
-	}
-	c.ExecSeconds = m.InstrBillions * 1e9 / (c.IPC * opt.Machine.ClockHz * n)
+	c.addBranchClasses(c.Counters, 1)
+	c.ExecSeconds = execSeconds(m.InstrBillions, c.IPC, opt.Machine.ClockHz, threads)
 	return c, nil
 }
 

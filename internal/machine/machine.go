@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -30,18 +29,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Per-stage wall-time histograms, one observation per run and stage.
-// The timing happens at window boundaries only (a window is thousands
-// of instructions), so the kernel's inner loop is untouched: zero
-// added allocations and no per-uop work. "simulate" is the exact
-// path's measured window; sampled runs split into fast-forward (skip
-// work between windows), warmup (settle plus per-period re-warm) and
-// detail (the counted windows).
-var metStageSeconds = map[string]*obs.Histogram{
-	"simulate":     obs.Default().Histogram("speckit_stage_seconds", "Wall time per simulation stage, accumulated over one run.", obs.LatencyBuckets, "stage", "simulate"),
-	"fast-forward": obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "fast-forward"),
-	"warmup":       obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "warmup"),
-	"detail":       obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "detail"),
+// Per-stage wall-time histograms, one observation per run and stage
+// (see stageTimes).
+var metStageSeconds = [numStages]*obs.Histogram{
+	stageSimulate:    obs.Default().Histogram("speckit_stage_seconds", "Wall time per simulation stage, accumulated over one run.", obs.LatencyBuckets, "stage", "simulate"),
+	stageFastForward: obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "fast-forward"),
+	stageWarmup:      obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "warmup"),
+	stageDetail:      obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "detail"),
 }
 
 // Window-level instrumentation, shared by the two stream-tiling run
@@ -292,17 +286,33 @@ type Result struct {
 // Run simulates one uop stream on the machine. The source must produce at
 // least the requested number of instructions.
 func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateRun(cfg, opt, runSequential); err != nil {
 		return nil, err
 	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
+	var times stageTimes
+	s := newStream(cfg, nil, src, batchBuf(opt), opt, &times)
+	if warm := warmupLength(opt); warm > 0 {
+		if err := s.warmup(warm); err != nil {
+			return nil, err
+		}
+		times.record(opt.Span, stageWarmup)
 	}
-	if err := opt.Sampling.Validate(); err != nil {
+	sp := opt.Sampling
+	if sp.Enabled() && opt.Instructions >= 2*sp.Period {
+		return s.runSampled(cfg)
+	}
+	snap, err := s.count(opt.Instructions, stageSimulate)
+	if err != nil {
 		return nil, err
 	}
-	hier := cache.NewHierarchy(cfg.Hierarchy)
-	return run(cfg, hier, src, opt)
+	times.record(opt.Span, stageSimulate)
+	res, err := s.c.finish(cfg, opt, snap)
+	if err == nil && sp.Enabled() {
+		// A stream under two periods has no room for a settle window
+		// plus a counted window; it ran exact.
+		res.Sampling = &SamplingStats{Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen, SampledFraction: 1}
+	}
+	return res, err
 }
 
 // core holds the per-stream simulation state.
@@ -710,70 +720,14 @@ func (c *core) runWindow(src trace.BatchSource, buf []trace.Uop, n uint64, ctx c
 	return done, nil
 }
 
-func run(cfg Config, hier *cache.Hierarchy, src trace.Source, opt Options) (*Result, error) {
-	c := newCore(cfg, hier)
-	if cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy) {
-		hier.L1I().EnableFetchMemo()
-	}
-	if cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy) {
-		hier.Cache(cache.L1).EnableFetchMemo()
-	}
-	bs := opt.BatchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
-	bsrc := trace.AsBatch(src)
-	buf := make([]trace.Uop, bs)
-	if warm := warmupLength(opt); warm > 0 {
-		warmStart := time.Now()
-		done, err := c.runWindow(bsrc, buf, warm, opt.Context)
-		if err != nil {
-			return nil, err
-		}
-		if done < warm {
-			return nil, fmt.Errorf("machine: source exhausted during warmup")
-		}
-		c.resetStats()
-		recordStage(opt.Span, "warmup", time.Since(warmStart))
-	}
-	if opt.Sampling.Enabled() {
-		return c.runSampled(cfg, bsrc, buf, opt)
-	}
-	simStart := time.Now()
-	done, err := c.runWindow(bsrc, buf, opt.Instructions, opt.Context)
-	if err != nil {
-		return nil, err
-	}
-	if done < opt.Instructions {
-		return nil, fmt.Errorf("machine: source exhausted after %d instructions", done)
-	}
-	recordStage(opt.Span, "simulate", time.Since(simStart))
-	return c.finish(cfg, opt, c.snap())
-}
-
-// recordStage feeds one stage's wall time into its histogram and, when
-// a span is attached, records it as a finished stage child span.
-func recordStage(span *obs.Span, stage string, d time.Duration) {
-	metStageSeconds[stage].ObserveDuration(d)
-	span.Stage(stage, d)
-}
-
 // RunReference simulates one uop stream with the legacy per-uop kernel.
 // It is the executable specification the batched Run is tested against:
 // both must produce bit-identical Results for the same configuration,
 // source and options. It is exported for the equivalence tests and the
 // kernel benchmarks; production callers should use Run.
 func RunReference(cfg Config, src trace.Source, opt Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateRun(cfg, opt, runReference); err != nil {
 		return nil, err
-	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
-	}
-	if opt.Sampling.Enabled() {
-		// The reference kernel is the exact-run executable specification;
-		// a sampled reference would have nothing to be a reference for.
-		return nil, fmt.Errorf("machine: sampling requires the batched kernel (use Run)")
 	}
 	c := newCore(cfg, cache.NewHierarchy(cfg.Hierarchy))
 	checkCancel := opt.Context != nil
@@ -812,6 +766,12 @@ func RunReference(cfg Config, src trace.Source, opt Options) (*Result, error) {
 // reported pre-extrapolation either way). The heavy lifting lives in
 // DeriveResult, shared with the analytic tier.
 func (c *core) finish(cfg Config, opt Options, s counterSnap) (*Result, error) {
+	return s.derive(cfg, opt, c.foot.PeakRSS(), c.foot.VSZ())
+}
+
+// derive hands the snapshot to DeriveResult with the given footprint
+// high-water marks.
+func (s counterSnap) derive(cfg Config, opt Options, rss, vsz uint64) (*Result, error) {
 	return DeriveResult(cfg, opt, Counts{
 		Kinds:       s.kinds,
 		LoadLevel:   s.loadLevel,
@@ -819,8 +779,8 @@ func (c *core) finish(cfg Config, opt Options, s counterSnap) (*Result, error) {
 		FetchMisses: s.fetchMisses,
 		Walks:       s.walks,
 		Branch:      s.branch,
-		RSSBytes:    c.foot.PeakRSS(),
-		VSZBytes:    c.foot.VSZ(),
+		RSSBytes:    rss,
+		VSZBytes:    vsz,
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -138,13 +137,14 @@ type parallelWindow struct {
 }
 
 // parallelResult is one finished window: its counter diff, footprint
-// high-water marks, stage timings, and the first error if any.
+// high-water marks, stage timings, wall time, and the first error if
+// any.
 type parallelResult struct {
-	snap             counterSnap
-	rss, vsz         uint64
-	err              error
-	seconds          float64
-	ff, warm, detail time.Duration
+	snap     counterSnap
+	rss, vsz uint64
+	times    stageTimes
+	wall     time.Duration
+	err      error
 }
 
 // RunParallel simulates opt.Instructions of a uop stream with the
@@ -164,14 +164,8 @@ type parallelResult struct {
 // itself does not compose — both knobs re-tile the measured stream —
 // and is rejected.
 func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options, workers int) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateRun(cfg, opt, runParallel); err != nil {
 		return nil, err
-	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
-	}
-	if opt.Sampling.Enabled() {
-		return nil, fmt.Errorf("machine: sampling does not compose with parallel windowed simulation (both re-tile the measured stream)")
 	}
 	if newSource == nil {
 		return nil, fmt.Errorf("machine: RunParallel needs a source factory")
@@ -210,8 +204,8 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 	// measured region; whatever warmup remains after it (the fractional
 	// tail) is the head of every window's gap.
 	warmLen := warmupLength(opt)
-	pro := min64(opt.WarmupInstructions, warmLen)
-	settle := min64(parallelSettle, warmLen-pro)
+	pro := min(opt.WarmupInstructions, warmLen)
+	settle := min(parallelSettle, warmLen-pro)
 	lens := parallelWindowLens(total, k)
 	jobs := make([]parallelWindow, k)
 	start := uint64(0)
@@ -232,10 +226,6 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 		start += lens[i]
 	}
 
-	bs := opt.BatchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
 	// Executor pool: window jobs are independent, so running them on
 	// min(k, GOMAXPROCS) executors changes scheduling only, never a
 	// result bit. Each executor owns one batch buffer reused across all
@@ -252,7 +242,7 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]trace.Uop, bs)
+			buf := batchBuf(opt)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= k {
@@ -270,7 +260,7 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 	// rate).
 	var agg counterSnap
 	var rss, vsz uint64
-	var ffDur, warmDur, detailDur time.Duration
+	var times stageTimes
 	st := &ParallelStats{
 		Requested:     workers,
 		Workers:       k,
@@ -284,34 +274,18 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 			return nil, fmt.Errorf("machine: parallel window %d/%d: %w", i, k, r.err)
 		}
 		agg.add(r.snap)
-		if r.rss > rss {
-			rss = r.rss
+		rss = max(rss, r.rss)
+		vsz = max(vsz, r.vsz)
+		for s, d := range r.times {
+			times[s] += d
 		}
-		if r.vsz > vsz {
-			vsz = r.vsz
-		}
-		ffDur += r.ff
-		warmDur += r.warm
-		detailDur += r.detail
-		st.WindowSeconds[i] = r.seconds
-		metWindowSeconds["parallel"].Observe(r.seconds)
+		st.WindowSeconds[i] = r.wall.Seconds()
+		observeWindows("parallel", 1, r.wall)
 	}
-	metPairWindows["parallel"].Add(uint64(k))
-	recordStage(opt.Span, "fast-forward", ffDur)
-	recordStage(opt.Span, "warmup", warmDur)
-	recordStage(opt.Span, "detail", detailDur)
+	times.record(opt.Span, stageFastForward, stageWarmup, stageDetail)
 	opt.Span.SetAttr("windows", k)
 
-	res, err := DeriveResult(cfg, opt, Counts{
-		Kinds:       agg.kinds,
-		LoadLevel:   agg.loadLevel,
-		DataLevel:   agg.dataLevel,
-		FetchMisses: agg.fetchMisses,
-		Walks:       agg.walks,
-		Branch:      agg.branch,
-		RSSBytes:    rss,
-		VSZBytes:    vsz,
-	})
+	res, err := agg.derive(cfg, opt, rss, vsz)
 	if err != nil {
 		return nil, err
 	}
@@ -321,175 +295,54 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 
 // runParallelWindow simulates one window on a fresh core and source.
 // The worker first simulates the warm-state pass — warmup head then
-// settle window, identical for every window, measuring per-cache fill
-// rates as it goes — then bridges its gap with the sampled loop's
-// frozen-cache procedure: age each cache by the gap's estimated content
-// turnover, cold-skip the gap head, warm-skip the branch tail
-// (trace.SkipRecordsWarm keeps the predictor functionally warm), and
-// simulate a re-warm window sized to rebuild what aging evicted.
-// Counters reset, then the detail window is counted.
-func runParallelWindow(cfg Config, newSource func() (trace.Source, error), opt Options, job parallelWindow, buf []trace.Uop) parallelResult {
-	startT := time.Now()
-	var r parallelResult
-	src, err := newSource()
-	if err != nil {
-		r.err = err
-		return r
-	}
-	hier := cache.NewHierarchy(cfg.Hierarchy)
-	c := newCore(cfg, hier)
-	if cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy) {
-		hier.L1I().EnableFetchMemo()
-	}
-	if cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy) {
-		hier.Cache(cache.L1).EnableFetchMemo()
-	}
-	bsrc := trace.AsBatch(src)
-
-	// Warm-state pass: the warmup head (the generator prologue, a
-	// branch-free working-set sweep that primes every cache level), then
-	// a stats reset so the settle window's fill and miss rates — the
-	// inputs to gap aging and re-warm sizing — reflect real stream
-	// behaviour rather than the sweep's 100%-fill transient, mirroring
-	// how the sampled loop seeds its estimates from its settle window.
-	warmStart := time.Now()
-	ageCaches := [4]*cache.Cache{hier.L1I(), hier.Cache(cache.L1), hier.Cache(cache.L2), hier.Cache(cache.L3)}
-	if job.warmPro > 0 {
-		if err := c.mustRun(bsrc, buf, job.warmPro, opt); err != nil {
-			r.err = err
-			return r
-		}
-	}
-	c.resetStats()
-	var fillAcc [4]uint64
-	for i, ch := range ageCaches {
-		fillAcc[i] = ch.Fills()
-	}
-	if job.warmSettle > 0 {
-		if err := c.mustRun(bsrc, buf, job.warmSettle, opt); err != nil {
-			r.err = err
-			return r
-		}
-		for i, ch := range ageCaches {
-			fillAcc[i] = ch.Fills() - fillAcc[i]
-		}
-	}
-	r.warm = time.Since(warmStart)
-
-	// Partition the gap. The re-warm must be long enough to rebuild the
-	// cache content aging is about to evict — a fixed 8Ki window (the
-	// sampled default) suffices there only because a sampling gap turns
-	// over a few percent of L2/L3; a parallel window's gap can span most
-	// of the stream and turn over whole caches, and counting on top of a
-	// drained L2 biases its miss rate far high. Sizing: per cache, the
-	// instructions needed to replace the evicted lines at the fill rate
-	// observed during the settle window; the re-warm covers the
-	// hungriest cache, floored at the sampled default and capped by the
-	// gap. The measurement is a pure function of the stream prefix, so
-	// the partition — and every result bit — stays deterministic.
-	rewarm := min64(minParallelWarmup, job.gap)
-	var age [4]int
-	if job.warmSettle > 0 && job.gap > 0 {
-		for i, ch := range ageCaches {
-			f := float64(fillAcc[i]) / float64(job.warmSettle)
-			if f <= 0 {
-				continue
-			}
-			alpha := 1.0
-			if i >= 2 {
-				mr := ch.Stats().MissRate()
-				alpha = ageCoeff * math.Pow(mr, agePow)
-			}
-			evict := alpha * f * float64(job.gap)
-			if lines := float64(ch.Lines()); evict > lines {
-				evict = lines
-			}
-			age[i] = int(evict)
-			if need := uint64(evict / f); need > rewarm {
-				rewarm = need
-			}
-		}
-		rewarm = min64(rewarm, job.gap)
-	}
-	tail := min64(minParallelWarmup*warmTailFactor, job.gap-rewarm)
-	cold := job.gap - rewarm - tail
-
-	ffStart := time.Now()
-	if job.gap > 0 && job.warmSettle > 0 {
-		// Frozen-cache aging across the whole gap, exactly the sampled
-		// loop's model: invalidate as many replacement victims as the
-		// gap would have filled (the re-warm then rebuilds them with the
-		// window's own neighbourhood). With no settle window (warmup
-		// disabled) there is no estimate and nothing frozen worth aging
-		// — the hierarchy is still cold.
-		for i, ch := range ageCaches {
-			ch.Age(age[i])
-		}
-	}
-	if cold > 0 {
-		done, err := skipChunked(bsrc, buf, cold, opt)
+// settle window, identical for every window, metering per-cache fill
+// rates as it goes — then bridges its gap the way the sampled loop
+// bridges a period gap (stream.bridge), and simulates a re-warm window
+// sized to rebuild what aging evicted. Counters reset, then the detail
+// window is counted.
+func runParallelWindow(cfg Config, newSource func() (trace.Source, error), opt Options, job parallelWindow, buf []trace.Uop) (r parallelResult) {
+	start := time.Now()
+	r.err = func() error {
+		src, err := newSource()
 		if err != nil {
-			r.err = err
-			return r
+			return err
 		}
-		if done < cold {
-			r.err = fmt.Errorf("source exhausted after %d skipped instructions", done)
-			return r
+		s := newStream(cfg, nil, src, buf, opt, &r.times)
+		// Warm-state pass: the warmup head (the generator prologue, a
+		// branch-free working-set sweep that primes every cache level),
+		// then a stats reset so the settle window's fill and miss rates —
+		// the inputs to gap aging and re-warm sizing — reflect real
+		// stream behaviour rather than the sweep's 100%-fill transient,
+		// mirroring how the sampled loop seeds its estimates from its
+		// settle window.
+		if err := s.warmup(job.warmPro); err != nil {
+			return err
 		}
-	}
-	if tail > 0 {
-		if done := trace.SkipRecordsWarm(bsrc, buf, tail, c.unit.Warm); done < tail {
-			r.err = fmt.Errorf("source exhausted after %d skipped instructions", cold+done)
-			return r
+		if _, err := s.count(job.warmSettle, stageWarmup); err != nil {
+			return err
 		}
-	}
-	r.ff = time.Since(ffStart)
-
-	if rewarm > 0 {
-		rewarmStart := time.Now()
-		if err := c.mustRun(bsrc, buf, rewarm, opt); err != nil {
-			r.err = err
-			return r
+		// Partition the gap. The re-warm must be long enough to rebuild
+		// the cache content aging is about to evict — a fixed 8Ki window
+		// (the sampled default) suffices there only because a sampling
+		// gap turns over a few percent of L2/L3; a parallel window's gap
+		// can span most of the stream and turn over whole caches, and
+		// counting on top of a drained L2 biases its miss rate far high.
+		// The measurement is a pure function of the stream prefix, so the
+		// partition — and every result bit — stays deterministic. With no
+		// settle window (warmup disabled) there is no estimate and nothing
+		// frozen worth aging — the hierarchy is still cold.
+		age, rewarm := s.gapAging(job.gap, true)
+		tail := min(minParallelWarmup*warmTailFactor, job.gap-rewarm)
+		if err := s.bridge(job.gap-rewarm, tail, age); err != nil {
+			return err
 		}
-		r.warm += time.Since(rewarmStart)
-	}
-	c.resetStats()
-
-	detailStart := time.Now()
-	if err := c.mustRun(bsrc, buf, job.counted, opt); err != nil {
-		r.err = err
-		return r
-	}
-	r.detail = time.Since(detailStart)
-
-	r.snap = c.snap()
-	r.rss = c.foot.PeakRSS()
-	r.vsz = c.foot.VSZ()
-	r.seconds = time.Since(startT).Seconds()
+		if err := s.warmup(rewarm); err != nil {
+			return err
+		}
+		r.snap, err = s.count(job.counted, stageDetail)
+		r.rss, r.vsz = s.c.foot.PeakRSS(), s.c.foot.VSZ()
+		return err
+	}()
+	r.wall = time.Since(start)
 	return r
-}
-
-// skipChunkLen bounds one uninterrupted skip so a cancelled context is
-// noticed within a bounded amount of fast-forward work.
-const skipChunkLen = 1 << 20
-
-// skipChunked cold-skips n records, polling opt.Context between chunks
-// (SkipRecords itself never polls; native skips can cover millions of
-// records per call).
-func skipChunked(src trace.BatchSource, buf []trace.Uop, n uint64, opt Options) (uint64, error) {
-	done := uint64(0)
-	for done < n {
-		if opt.Context != nil {
-			if err := opt.Context.Err(); err != nil {
-				return done, err
-			}
-		}
-		step := min64(n-done, skipChunkLen)
-		got := trace.SkipRecords(src, buf, step)
-		done += got
-		if got < step {
-			return done, nil
-		}
-	}
-	return done, nil
 }

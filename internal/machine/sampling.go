@@ -5,11 +5,9 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -97,8 +95,8 @@ func ParseSampling(s string) (Sampling, error) {
 var warmTailFactor = uint64(8)
 
 // ageCoeff and agePow scale the gap-turnover aging of the big caches
-// (L2, L3; see runSampled) as alpha = ageCoeff * missRate^agePow of the
-// cache's observed fill rate. One gap fill displaces one victim only
+// (L2, L3; see stream.gapAging) as alpha = ageCoeff * missRate^agePow
+// of the cache's observed fill rate. One gap fill displaces one victim only
 // when the victim would not have been re-touched during the gap; the
 // thrashier the cache, the larger the share of its content that is dead
 // on arrival, and the power law is the simplest shape that matched the
@@ -132,15 +130,15 @@ func (s Sampling) Validate() error {
 	if s.DetailLen == 0 {
 		return fmt.Errorf("machine: sampling needs a positive detail window")
 	}
-	if s.DetailLen+s.WarmupLen > s.Period {
+	if s.DetailLen > s.Period || s.WarmupLen > s.Period-s.DetailLen {
 		return fmt.Errorf("machine: sampling windows (%d detail + %d warmup) exceed period %d",
 			s.DetailLen, s.WarmupLen, s.Period)
 	}
 	return nil
 }
 
-// String renders the knob in the "period/detail/warmup" form the
-// -sampling CLI flags accept.
+// String renders the knob in the "period/detail/warmup" form
+// ParseSampling accepts.
 func (s Sampling) String() string {
 	if !s.Enabled() {
 		return "off"
@@ -190,40 +188,32 @@ func (c *core) snap() counterSnap {
 	}
 }
 
+// each applies f to every count of s, paired with the same count of o.
+func (s *counterSnap) each(o *counterSnap, f func(v *uint64, ov uint64)) {
+	for i := range s.kinds {
+		f(&s.kinds[i], o.kinds[i])
+	}
+	for i := range s.loadLevel {
+		f(&s.loadLevel[i], o.loadLevel[i])
+		f(&s.dataLevel[i], o.dataLevel[i])
+	}
+	f(&s.fetchMisses, o.fetchMisses)
+	f(&s.walks, o.walks)
+	for i := range s.branch.Executed {
+		f(&s.branch.Executed[i], o.branch.Executed[i])
+		f(&s.branch.Mispredicted[i], o.branch.Mispredicted[i])
+	}
+}
+
 // sub returns the statistics accumulated between prev and s.
 func (s counterSnap) sub(prev counterSnap) counterSnap {
-	d := s
-	for i := range d.kinds {
-		d.kinds[i] -= prev.kinds[i]
-	}
-	for i := range d.loadLevel {
-		d.loadLevel[i] -= prev.loadLevel[i]
-		d.dataLevel[i] -= prev.dataLevel[i]
-	}
-	d.fetchMisses -= prev.fetchMisses
-	d.walks -= prev.walks
-	for i := range d.branch.Executed {
-		d.branch.Executed[i] -= prev.branch.Executed[i]
-		d.branch.Mispredicted[i] -= prev.branch.Mispredicted[i]
-	}
-	return d
+	s.each(&prev, func(v *uint64, ov uint64) { *v -= ov })
+	return s
 }
 
 // add accumulates w into s.
 func (s *counterSnap) add(w counterSnap) {
-	for i := range s.kinds {
-		s.kinds[i] += w.kinds[i]
-	}
-	for i := range s.loadLevel {
-		s.loadLevel[i] += w.loadLevel[i]
-		s.dataLevel[i] += w.dataLevel[i]
-	}
-	s.fetchMisses += w.fetchMisses
-	s.walks += w.walks
-	for i := range s.branch.Executed {
-		s.branch.Executed[i] += w.branch.Executed[i]
-		s.branch.Mispredicted[i] += w.branch.Mispredicted[i]
-	}
+	s.each(&w, func(v *uint64, ov uint64) { *v += ov })
 }
 
 // instructions returns the snapshot's total instruction count.
@@ -238,25 +228,11 @@ func (s counterSnap) instructions() uint64 {
 // scaled extrapolates every count by ratio (rounding to nearest), the
 // step that stretches the sampled windows back over the full stream.
 func (s counterSnap) scaled(ratio float64) counterSnap {
-	up := func(v uint64) uint64 { return uint64(float64(v)*ratio + 0.5) }
-	d := s
-	for i := range d.kinds {
-		d.kinds[i] = up(d.kinds[i])
-	}
-	for i := range d.loadLevel {
-		d.loadLevel[i] = up(d.loadLevel[i])
-		d.dataLevel[i] = up(d.dataLevel[i])
-	}
-	d.fetchMisses = up(d.fetchMisses)
-	d.walks = up(d.walks)
-	for i := range d.branch.Executed {
-		d.branch.Executed[i] = up(d.branch.Executed[i])
-		d.branch.Mispredicted[i] = up(d.branch.Mispredicted[i])
-	}
-	return d
+	s.each(&s, func(v *uint64, _ uint64) { *v = uint64(float64(*v)*ratio + 0.5) })
+	return s
 }
 
-// runSampled is the systematic-sampling run loop. The core arrives
+// runSampled is the systematic-sampling run loop. The stream arrives
 // post-warmup; a settle window is then simulated in full with its
 // counters discarded (the global warmup under sampling is typically
 // just the generator prologue, a branch-free load sweep, so recency
@@ -270,70 +246,28 @@ func (s counterSnap) scaled(ratio float64) counterSnap {
 // mispredict rate upward. The warm window then re-aligns the
 // small-horizon state (L1, TLB recency), and the dominant residual
 // error is statistical, which the inter-window variance estimate
-// captures.
-func (c *core) runSampled(cfg Config, src trace.BatchSource, buf []trace.Uop, opt Options) (*Result, error) {
+// captures. Run sends streams under two periods down the exact path
+// instead: they have no room for a settle window plus a counted window.
+func (s *stream) runSampled(cfg Config) (*Result, error) {
+	opt := s.opt
 	sp := opt.Sampling
 	total := opt.Instructions
-	stats := &SamplingStats{Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen}
-
-	// A stream under two periods has no room for a settle window plus a
-	// counted window; simulate it exactly.
-	if total < 2*sp.Period {
-		simStart := time.Now()
-		if err := c.mustRun(src, buf, total, opt); err != nil {
-			return nil, err
-		}
-		recordStage(opt.Span, "simulate", time.Since(simStart))
-		stats.SampledFraction = 1
-		res, err := c.finish(cfg, opt, c.snap())
-		if err != nil {
-			return nil, err
-		}
-		res.Sampling = stats
-		return res, nil
-	}
 
 	// The settle window needs to cover the small-horizon state (L1 and
 	// the predictor's hot entries); the big structures fill cumulatively
 	// across the whole run — detailed windows insert, skips freeze — so
 	// stretching the settle to a full period would buy accuracy nothing
-	// and cost wall-clock on large-period knobs.
-	settle := max64(2*sp.WarmupLen, 8192)
-	if settle > sp.Period {
-		settle = sp.Period
-	}
-	// Cache aging across gaps: a frozen cache keeps the lines the skipped
-	// stream would have displaced, and a cyclic reference stream re-hits
-	// them in the next counted window, biasing its miss rate low (most
-	// visibly at L2/L3 on large-footprint profiles, where a gap can turn
-	// over most of the cache). Before each gap's warm tail we therefore
-	// invalidate as many replacement victims as the gap would have filled,
-	// estimated from the fill rate observed while simulating. The settle
-	// window seeds the estimate; afterwards only detailed windows feed it
-	// — post-gap warmup windows refill the small caches at far above the
-	// steady-state rate and would inflate it.
-	ageCaches := [4]*cache.Cache{c.hier.L1I(), c.hier.Cache(cache.L1), c.hier.Cache(cache.L2), c.hier.Cache(cache.L3)}
-	var fillAcc [4]uint64
-	for i, ch := range ageCaches {
-		fillAcc[i] = ch.Fills()
-	}
-	// Stage accounting: the settle window and per-period re-warm windows
-	// accumulate into warmDur, skip work into ffDur, counted windows
-	// into detailDur. Timing happens a handful of times per period — at
-	// window boundaries, never per uop — so the kernel loop is unchanged.
-	var ffDur, warmDur, detailDur time.Duration
-	settleStart := time.Now()
-	if err := c.mustRun(src, buf, settle, opt); err != nil {
+	// and cost wall-clock on large-period knobs. Its fills seed the
+	// meter that sizes the gap aging (see stream.gapAging); afterwards
+	// only detailed windows feed it — post-gap warmup windows refill the
+	// small caches at far above the steady-state rate and would inflate
+	// it.
+	settle := min(max(2*sp.WarmupLen, 8192), sp.Period)
+	if _, err := s.count(settle, stageWarmup); err != nil {
 		return nil, err
 	}
-	warmDur += time.Since(settleStart)
-	for i, ch := range ageCaches {
-		fillAcc[i] = ch.Fills() - fillAcc[i]
-	}
-	fillInstr := settle
 	done := settle
 	skipLen := sp.Period - sp.DetailLen - sp.WarmupLen
-	warm := c.unit.Warm
 	warmTail := sp.WarmupLen * warmTailFactor
 
 	// The warm+detail block lands at a jittered offset within each
@@ -370,74 +304,34 @@ func (c *core) runSampled(cfg Config, src trace.BatchSource, buf []trace.Uop, op
 		// the head is a plain skip — predictor state written further back
 		// than that horizon is either refreshed by the tail anyway (hot
 		// sites) or too cold-tail to surface in a detailed window.
-		gap := carry + pre
+		gap := min(carry+pre, total-done)
 		carry = skipLen - pre
-		rem := total - done
-		if s := min64(gap, rem); s > 0 {
-			ffStart := time.Now()
-			for i, ch := range ageCaches {
-				alpha := 1.0
-				if i >= 2 {
-					mr := ch.Stats().MissRate()
-					alpha = ageCoeff * math.Pow(mr, agePow)
-				}
-				ch.Age(int(alpha * float64(fillAcc[i]) / float64(fillInstr) * float64(s)))
-			}
-			skipped := uint64(0)
-			if tail := min64(warmTail, s); tail < s {
-				skipped = trace.SkipRecords(src, buf, s-tail)
-				if skipped == s-tail {
-					skipped += trace.SkipRecordsWarm(src, buf, tail, warm)
-				}
-			} else {
-				skipped = trace.SkipRecordsWarm(src, buf, s, warm)
-			}
-			if skipped < s {
-				return nil, fmt.Errorf("machine: source exhausted after %d instructions", done+skipped)
-			}
-			ffDur += time.Since(ffStart)
-			done += s
-			rem -= s
-		}
-		if w := min64(sp.WarmupLen, rem); w > 0 {
-			warmStart := time.Now()
-			if err := c.mustRun(src, buf, w, opt); err != nil {
+		if gap > 0 {
+			age, _ := s.gapAging(gap, false)
+			if err := s.bridge(gap, min(warmTail, gap), age); err != nil {
 				return nil, err
 			}
-			warmDur += time.Since(warmStart)
-			done += w
-			rem -= w
+			done += gap
 		}
-		d := min64(sp.DetailLen, rem)
-		if d > 0 {
-			detailStart := time.Now()
-			var f0 [4]uint64
-			for i, ch := range ageCaches {
-				f0[i] = ch.Fills()
-			}
-			before := c.snap()
-			if err := c.mustRun(src, buf, d, opt); err != nil {
+		w := min(sp.WarmupLen, total-done)
+		if err := s.simulate(w, stageWarmup); err != nil {
+			return nil, err
+		}
+		done += w
+		if d := min(sp.DetailLen, total-done); d > 0 {
+			t0 := s.times[stageDetail]
+			win, err := s.count(d, stageDetail)
+			if err != nil {
 				return nil, err
 			}
-			done += d
-			rem -= d
-			win := c.snap().sub(before)
+			observeWindows("sampled", 1, s.times[stageDetail]-t0)
 			windows = append(windows, win)
 			agg.add(win)
 			detailed += d
-			winDur := time.Since(detailStart)
-			detailDur += winDur
-			metWindowSeconds["sampled"].ObserveDuration(winDur)
-			for i, ch := range ageCaches {
-				fillAcc[i] += ch.Fills() - f0[i]
-			}
-			fillInstr += d
+			done += d
 		}
 	}
-	recordStage(opt.Span, "fast-forward", ffDur)
-	recordStage(opt.Span, "warmup", warmDur)
-	recordStage(opt.Span, "detail", detailDur)
-	metPairWindows["sampled"].Add(uint64(len(windows)))
+	s.times.record(opt.Span, stageFastForward, stageWarmup, stageDetail)
 	opt.Span.SetAttr("windows", len(windows))
 	if detailed == 0 {
 		// Unreachable once total >= 2*Period and DetailLen > 0, but a
@@ -445,31 +339,21 @@ func (c *core) runSampled(cfg Config, src trace.BatchSource, buf []trace.Uop, op
 		return nil, fmt.Errorf("machine: sampling produced no detailed windows")
 	}
 
-	scaled := agg.scaled(float64(total) / float64(detailed))
-	res, err := c.finish(cfg, opt, scaled)
+	res, err := s.c.finish(cfg, opt, agg.scaled(float64(total)/float64(detailed)))
 	if err != nil {
 		return nil, err
 	}
-	stats.Windows = len(windows)
-	stats.SampledFraction = float64(detailed) / float64(total)
-	w := opt.Workload
-	w.ILP = res.ILP
-	estimateErrors(stats, cfg, w, windows)
+	stats := &SamplingStats{
+		Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen,
+		Windows: len(windows), SampledFraction: float64(detailed) / float64(total),
+	}
+	// Per-window IPC runs the interval model at the run's (possibly
+	// solved) ILP, uncalibrated.
+	winOpt := opt
+	winOpt.Workload.ILP, winOpt.CalibrateIPC = res.ILP, 0
+	estimateErrors(stats, cfg, winOpt, windows)
 	res.Sampling = stats
 	return res, nil
-}
-
-// mustRun simulates exactly n instructions, converting a short read into
-// the same exhaustion error the exact path reports.
-func (c *core) mustRun(src trace.BatchSource, buf []trace.Uop, n uint64, opt Options) error {
-	done, err := c.runWindow(src, buf, n, opt.Context)
-	if err != nil {
-		return err
-	}
-	if done < n {
-		return fmt.Errorf("machine: source exhausted after %d instructions", done)
-	}
-	return nil
 }
 
 // estimateErrors fills the per-metric relative standard errors from the
@@ -478,15 +362,13 @@ func (c *core) mustRun(src trace.BatchSource, buf []trace.Uop, n uint64, opt Opt
 // standard error is std/sqrt(k), reported relative to the mean. Windows
 // without the metric's events are excluded; a metric carried by fewer
 // than two windows reports 0 (not estimable).
-func estimateErrors(stats *SamplingStats, cfg Config, w pipeline.Workload, windows []counterSnap) {
+func estimateErrors(stats *SamplingStats, cfg Config, opt Options, windows []counterSnap) {
 	var ipc, l1, l2, l3, misp []float64
 	for i := range windows {
 		win := &windows[i]
-		n := win.instructions()
-		if n > 0 {
-			ev := windowEvents(win)
-			if cyc := pipeline.Cycles(cfg.Pipeline, w, ev).Total(); cyc > 0 {
-				ipc = append(ipc, float64(n)/cyc)
+		if win.instructions() > 0 {
+			if r, err := win.derive(cfg, opt, 0, 0); err == nil {
+				ipc = append(ipc, r.IPC)
 			}
 		}
 		hitL2, hitL3, hitMem := win.loadLevel[cache.HitL2], win.loadLevel[cache.HitL3], win.loadLevel[cache.HitMemory]
@@ -502,22 +384,6 @@ func estimateErrors(stats *SamplingStats, cfg Config, w pipeline.Workload, windo
 	stats.L2RelErr = relStdErr(l2)
 	stats.L3RelErr = relStdErr(l3)
 	stats.MispredictRelErr = relStdErr(misp)
-}
-
-// windowEvents converts one window snapshot into pipeline-model inputs.
-func windowEvents(s *counterSnap) pipeline.Events {
-	return pipeline.Events{
-		Instructions: s.instructions(),
-		L2Hits:       s.dataLevel[cache.HitL2],
-		L3Hits:       s.dataLevel[cache.HitL3],
-		MemAccesses:  s.dataLevel[cache.HitMemory],
-		FetchMisses:  s.fetchMisses,
-		Walks:        s.walks,
-		Mispredicts: func() uint64 {
-			_, m := s.branch.Total()
-			return m
-		}(),
-	}
 }
 
 func appendRate(dst []float64, num, den uint64) []float64 {
@@ -549,18 +415,4 @@ func relStdErr(vals []float64) float64 {
 	}
 	std := math.Sqrt(ss / float64(k-1))
 	return std / math.Sqrt(float64(k)) / mean
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -43,43 +43,24 @@ type SharedResult struct {
 // reported on the result. It models the paper's multi-threaded SPECspeed
 // runs and the rate-mode contention scenarios.
 func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("machine: no streams")
 	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
-	}
-	if opt.Sampling.Enabled() {
-		// Skipping one stream would still age the shared L3 through the
-		// others; per-stream systematic sampling is not meaningful here.
-		return nil, fmt.Errorf("machine: sampling is not supported for shared-L3 runs")
+	if err := validateRun(cfg, opt, runShared); err != nil {
+		return nil, err
 	}
 	l3 := cache.New(cfg.Hierarchy.L3)
 	n := len(srcs)
-	cores := make([]*core, n)
-	hiers := make([]*cache.Hierarchy, n)
-	bsrcs := make([]trace.BatchSource, n)
-	for i := range cores {
-		h := cache.NewShared(cfg.Hierarchy, l3)
-		c := newCore(cfg, h)
-		// A shared-L3 eviction can back-invalidate a privately cached
-		// line between any two accesses, so the hit-armed soundness
-		// argument behind the register dedups and set memos does not
-		// hold here: a deduplicated "guaranteed hit" could have been
-		// invalidated since it was armed. Run with both dedups off and
-		// the memos never enabled; the batched sweeps still carry the
-		// run.
-		c.fetchDedup, c.dataDedup = false, false
-		cores[i] = c
-		hiers[i] = h
-		bsrcs[i] = trace.AsBatch(srcs[i])
+	buf := batchBuf(opt)
+	var times stageTimes
+	streams := make([]*stream, n)
+	for i := range streams {
+		streams[i] = newStream(cfg, l3, srcs[i], buf, opt, &times)
 	}
 	var backInv uint64
 	l3.OnEvict = func(addr uint64) {
-		for _, h := range hiers {
+		for _, s := range streams {
+			h := s.c.hier
 			if h.Cache(cache.L1).Invalidate(addr) {
 				backInv++
 			}
@@ -91,32 +72,21 @@ func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, err
 			}
 		}
 	}
-	bs := opt.BatchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
-	buf := make([]trace.Uop, bs)
 
 	// roundRobin advances every core through `total` instructions, one
 	// quantum per core per round. In the measured phase each round feeds
 	// the rate window metrics (one observation per round, never per uop).
-	roundRobin := func(total uint64, stage string, measured bool) error {
-		done := uint64(0)
-		for done < total {
-			q := min64(sharedQuantum, total-done)
+	roundRobin := func(total uint64, st stage) error {
+		for done := uint64(0); done < total; {
+			q := min(sharedQuantum, total-done)
 			roundStart := time.Now()
-			for ci, c := range cores {
-				got, err := c.runWindow(bsrcs[ci], buf, q, opt.Context)
-				if err != nil {
-					return err
-				}
-				if got < q {
-					return fmt.Errorf("machine: stream %d exhausted during %s after %d instructions", ci, stage, done+got)
+			for i, s := range streams {
+				if err := s.simulate(q, st); err != nil {
+					return fmt.Errorf("machine: stream %d: %w", i, err)
 				}
 			}
-			if measured {
-				metWindowSeconds["rate"].Observe(time.Since(roundStart).Seconds())
-				metPairWindows["rate"].Add(uint64(n))
+			if st == stageSimulate {
+				observeWindows("rate", n, time.Since(roundStart))
 			}
 			done += q
 		}
@@ -124,21 +94,19 @@ func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, err
 	}
 
 	if warm := warmupLength(opt); warm > 0 {
-		warmStart := time.Now()
-		if err := roundRobin(warm, "warmup", false); err != nil {
+		if err := roundRobin(warm, stageWarmup); err != nil {
 			return nil, err
 		}
-		for _, c := range cores {
-			c.resetStats()
+		for _, s := range streams {
+			s.c.resetStats()
 		}
 		backInv = 0
-		recordStage(opt.Span, "warmup", time.Since(warmStart))
+		times.record(opt.Span, stageWarmup)
 	}
-	simStart := time.Now()
-	if err := roundRobin(opt.Instructions, "measurement", true); err != nil {
+	if err := roundRobin(opt.Instructions, stageSimulate); err != nil {
 		return nil, err
 	}
-	recordStage(opt.Span, "simulate", time.Since(simStart))
+	times.record(opt.Span, stageSimulate)
 	opt.Span.SetAttr("rate_copies", n)
 
 	out := &SharedResult{
@@ -148,8 +116,8 @@ func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, err
 	}
 	maxCycles := 0.0
 	totalInstr := uint64(0)
-	for i, c := range cores {
-		r, err := c.finish(cfg, opt, c.snap())
+	for i, s := range streams {
+		r, err := s.c.finish(cfg, opt, s.c.snap())
 		if err != nil {
 			return nil, err
 		}

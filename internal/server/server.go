@@ -378,30 +378,10 @@ type campaign struct {
 	fidelity machine.Fidelity
 	topology machine.Topology
 
-	// ctx is cancelled by DELETE, a waiting client's disconnect, or the
-	// drain timeout; the sched engine aborts queued and in-flight pairs
-	// through it (the PR 1 cancellation path).
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu           sync.Mutex
-	status       string
-	created      time.Time
-	started      time.Time
-	finished     time.Time
-	progress     sched.Progress
-	results      []core.Characteristics
-	errMsg       string
-	cancelReason string
-	subs         map[chan sseEvent]struct{}
-	// manifest and manifestDigest hold the rendered JSONL run manifest
-	// once the campaign has run (empty for jobs cancelled before start).
-	manifest       []byte
-	manifestDigest string
-
-	// done is closed exactly once when the campaign reaches a terminal
-	// status; SSE streams and ?wait=1 submitters block on it.
-	done chan struct{}
+	jobState
+	// progress and results are guarded by jobState.mu.
+	progress sched.Progress
+	results  []core.Characteristics
 }
 
 func (c *campaign) snapshot(includeResults bool) CampaignStatus {
@@ -435,38 +415,6 @@ func (c *campaign) snapshot(includeResults bool) CampaignStatus {
 	return st
 }
 
-func (c *campaign) terminal() bool {
-	switch c.status {
-	case StatusDone, StatusFailed, StatusCancelled:
-		return true
-	}
-	return false
-}
-
-// finish moves the campaign to a terminal status once; later calls are
-// no-ops (e.g. a DELETE racing the worker's own completion).
-func (c *campaign) finish(status string, results []core.Characteristics, errMsg string) {
-	c.mu.Lock()
-	if c.terminal() {
-		c.mu.Unlock()
-		return
-	}
-	c.status = status
-	c.results = results
-	c.errMsg = errMsg
-	c.finished = time.Now()
-	close(c.done)
-	c.mu.Unlock()
-	c.cancel() // release the context regardless of how we finished
-}
-
-func (c *campaign) setRunning() {
-	c.mu.Lock()
-	c.status = StatusRunning
-	c.started = time.Now()
-	c.mu.Unlock()
-}
-
 func (c *campaign) setProgress(p sched.Progress) {
 	c.mu.Lock()
 	c.progress = p
@@ -480,72 +428,7 @@ func (c *campaign) setProgress(p sched.Progress) {
 	c.broadcast(sseEvent{name: "progress", data: data})
 }
 
-// requestCancel records why the job is being cancelled and cancels its
-// context. A queued job is finished immediately; a running one aborts
-// through the scheduler and is finished by its worker.
-func (c *campaign) requestCancel(reason string) {
-	c.mu.Lock()
-	if c.terminal() {
-		c.mu.Unlock()
-		return
-	}
-	if c.cancelReason == "" {
-		c.cancelReason = reason
-	}
-	queued := c.status == StatusQueued
-	c.mu.Unlock()
-	c.cancel()
-	if queued {
-		c.finish(StatusCancelled, nil, reason)
-	}
-}
-
-func (c *campaign) subscribe() chan sseEvent {
-	ch := make(chan sseEvent, 64)
-	c.mu.Lock()
-	c.subs[ch] = struct{}{}
-	c.mu.Unlock()
-	return ch
-}
-
-func (c *campaign) unsubscribe(ch chan sseEvent) {
-	c.mu.Lock()
-	delete(c.subs, ch)
-	c.mu.Unlock()
-}
-
-// broadcast fans an event out to subscribers, dropping it for any
-// subscriber whose buffer is full — terminal state is delivered via the
-// done channel, so slow consumers only lose intermediate snapshots.
-func (c *campaign) broadcast(ev sseEvent) {
-	c.mu.Lock()
-	for ch := range c.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	c.mu.Unlock()
-}
-
-// job is what the shared worker pool pulls off the bounded queue:
-// campaigns and sweeps ride the same queue, so QueueDepth bounds (and
-// 429 backpressure covers) the server's total admitted work.
-type job interface {
-	jobCtx() context.Context
-	// abort finishes the job as cancelled without running it (drain, or
-	// cancellation while still queued).
-	abort(reason string)
-	cancelReasonOr(fallback string) string
-	execute(s *Server)
-}
-
-func (c *campaign) jobCtx() context.Context { return c.ctx }
-func (c *campaign) abort(reason string)     { c.finish(StatusCancelled, nil, reason) }
-func (c *campaign) execute(s *Server)       { s.run(c) }
-func (c *campaign) cancelReasonOr(fallback string) string {
-	return c.reason(fallback)
-}
+func (c *campaign) execute(s *Server) { s.run(c) }
 
 // Server is the characterization service.
 type Server struct {
@@ -767,24 +650,17 @@ func (s *Server) worker() {
 			continue
 		}
 		if j.jobCtx().Err() != nil {
-			j.abort(j.cancelReasonOr("cancelled before start"))
+			j.abort(j.reason("cancelled before start"))
 			continue
 		}
 		j.execute(s)
 	}
 }
 
-func (c *campaign) reason(fallback string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cancelReason != "" {
-		return c.cancelReason
-	}
-	return fallback
-}
-
 func (s *Server) run(c *campaign) {
-	c.setRunning()
+	if !c.setRunning() {
+		return
+	}
 	opt := s.cfg.Characterize
 	if c.spec.Instructions > 0 {
 		opt.Instructions = c.spec.Instructions
@@ -838,15 +714,7 @@ func (s *Server) run(c *campaign) {
 		results, err = runCampaign(c.pairs, opt)
 	}
 
-	// Render the run manifest before flipping the terminal status, so a
-	// client that observes "done" can always fetch the manifest whose
-	// digest the status reports.
-	if manifest, merr := tr.Manifest(); merr == nil {
-		c.mu.Lock()
-		c.manifest = manifest
-		c.manifestDigest = obs.ManifestDigest(manifest)
-		c.mu.Unlock()
-	}
+	c.setManifest(tr)
 
 	// Account completed pairs by where they came from before flipping
 	// the terminal status; each non-exact tier feeds its own counter
@@ -882,11 +750,11 @@ func (s *Server) run(c *campaign) {
 
 	switch {
 	case err == nil:
-		c.finish(StatusDone, results, "")
+		c.finish(StatusDone, "", func() { c.results = results })
 	case c.ctx.Err() != nil || errors.Is(err, context.Canceled):
-		c.finish(StatusCancelled, nil, c.reason("cancelled"))
+		c.finish(StatusCancelled, c.reason("cancelled"), nil)
 	default:
-		c.finish(StatusFailed, nil, err.Error())
+		c.finish(StatusFailed, err.Error(), nil)
 	}
 }
 
@@ -987,10 +855,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c := &campaign{
 		spec: spec, pairs: pairs,
 		view: view, sampling: sampling, fidelity: fidelity, topology: topology,
-		ctx: ctx, cancel: cancel,
-		status: StatusQueued, created: time.Now(),
-		subs: make(map[chan sseEvent]struct{}),
-		done: make(chan struct{}),
+		jobState: newJobState(ctx, cancel),
 	}
 
 	s.mu.Lock()
@@ -1080,16 +945,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
 		return
 	}
-	c.mu.Lock()
-	manifest, digest := c.manifest, c.manifestDigest
-	c.mu.Unlock()
-	if len(manifest) == 0 {
-		writeError(w, http.StatusConflict, "campaign %s has not run yet", c.id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Manifest-Digest", digest)
-	w.Write(manifest)
+	c.serveManifest(w, "campaign", c.id)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

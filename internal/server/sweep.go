@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,39 +91,15 @@ type sweepJob struct {
 	sspec  sweep.Spec // resolved engine spec
 	points int
 
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu             sync.Mutex
-	status         string
-	created        time.Time
-	started        time.Time
-	finished       time.Time
-	progress       sweep.Progress
-	result         *sweep.Result
-	errMsg         string
-	cancelReason   string
-	subs           map[chan sseEvent]struct{}
-	manifest       []byte
-	manifestDigest string
-
-	done chan struct{}
+	jobState
+	// progress and result are guarded by jobState.mu.
+	progress sweep.Progress
+	result   *sweep.Result
 }
 
-// --- job interface (shared queue/worker plumbing) ---------------------
+// --- job interface (the lifecycle half lives on jobState) -------------
 
-func (j *sweepJob) jobCtx() context.Context { return j.ctx }
-func (j *sweepJob) abort(reason string)     { j.finish(StatusCancelled, nil, reason) }
-func (j *sweepJob) execute(s *Server)       { s.runSweep(j) }
-
-func (j *sweepJob) cancelReasonOr(fallback string) string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelReason != "" {
-		return j.cancelReason
-	}
-	return fallback
-}
+func (j *sweepJob) execute(s *Server) { s.runSweep(j) }
 
 func (j *sweepJob) snapshot(includeResult bool) SweepStatus {
 	j.mu.Lock()
@@ -155,84 +130,12 @@ func (j *sweepJob) snapshot(includeResult bool) SweepStatus {
 	return st
 }
 
-func (j *sweepJob) terminal() bool {
-	switch j.status {
-	case StatusDone, StatusFailed, StatusCancelled:
-		return true
-	}
-	return false
-}
-
-func (j *sweepJob) finish(status string, result *sweep.Result, errMsg string) {
-	j.mu.Lock()
-	if j.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.status = status
-	j.result = result
-	j.errMsg = errMsg
-	j.finished = time.Now()
-	close(j.done)
-	j.mu.Unlock()
-	j.cancel()
-}
-
-func (j *sweepJob) setRunning() {
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-}
-
 func (j *sweepJob) setProgress(p sweep.Progress) {
 	j.mu.Lock()
 	j.progress = p
 	j.mu.Unlock()
 	data, _ := json.Marshal(p)
 	j.broadcast(sseEvent{name: "progress", data: data})
-}
-
-func (j *sweepJob) requestCancel(reason string) {
-	j.mu.Lock()
-	if j.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	if j.cancelReason == "" {
-		j.cancelReason = reason
-	}
-	queued := j.status == StatusQueued
-	j.mu.Unlock()
-	j.cancel()
-	if queued {
-		j.finish(StatusCancelled, nil, reason)
-	}
-}
-
-func (j *sweepJob) subscribe() chan sseEvent {
-	ch := make(chan sseEvent, 64)
-	j.mu.Lock()
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch
-}
-
-func (j *sweepJob) unsubscribe(ch chan sseEvent) {
-	j.mu.Lock()
-	delete(j.subs, ch)
-	j.mu.Unlock()
-}
-
-func (j *sweepJob) broadcast(ev sseEvent) {
-	j.mu.Lock()
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	j.mu.Unlock()
 }
 
 // --- Submission -------------------------------------------------------
@@ -308,10 +211,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &sweepJob{
 		spec: spec, sspec: sspec, points: points,
-		ctx: ctx, cancel: cancel,
-		status: StatusQueued, created: time.Now(),
-		subs: make(map[chan sseEvent]struct{}),
-		done: make(chan struct{}),
+		jobState: newJobState(ctx, cancel),
 	}
 
 	s.mu.Lock()
@@ -355,7 +255,9 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 // --- Execution --------------------------------------------------------
 
 func (s *Server) runSweep(j *sweepJob) {
-	j.setRunning()
+	if !j.setRunning() {
+		return
+	}
 	opt := s.cfg.Characterize
 	if j.spec.Instructions > 0 {
 		opt.Instructions = j.spec.Instructions
@@ -389,12 +291,7 @@ func (s *Server) runSweep(j *sweepJob) {
 		Progress: j.setProgress,
 	})
 
-	if manifest, merr := tr.Manifest(); merr == nil {
-		j.mu.Lock()
-		j.manifest = manifest
-		j.manifestDigest = obs.ManifestDigest(manifest)
-		j.mu.Unlock()
-	}
+	j.setManifest(tr)
 
 	// Account cells by phase and satisfying source — from the final
 	// progress snapshot, so partially-run (failed/cancelled) sweeps
@@ -409,11 +306,11 @@ func (s *Server) runSweep(j *sweepJob) {
 
 	switch {
 	case err == nil:
-		j.finish(StatusDone, res, "")
+		j.finish(StatusDone, "", func() { j.result = res })
 	case j.ctx.Err() != nil || errors.Is(err, context.Canceled):
-		j.finish(StatusCancelled, nil, j.cancelReasonOr("cancelled"))
+		j.finish(StatusCancelled, j.reason("cancelled"), nil)
 	default:
-		j.finish(StatusFailed, nil, err.Error())
+		j.finish(StatusFailed, err.Error(), nil)
 	}
 }
 
@@ -466,16 +363,7 @@ func (s *Server) handleSweepManifest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
 		return
 	}
-	j.mu.Lock()
-	manifest, digest := j.manifest, j.manifestDigest
-	j.mu.Unlock()
-	if len(manifest) == 0 {
-		writeError(w, http.StatusConflict, "sweep %s has not run yet", j.id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Manifest-Digest", digest)
-	w.Write(manifest)
+	j.serveManifest(w, "sweep", j.id)
 }
 
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {

@@ -147,10 +147,11 @@ type SamplingStats = machine.SamplingStats
 // machine.DefaultSampling for the tuning rationale).
 func DefaultSampling() Sampling { return machine.DefaultSampling() }
 
-// ParseSampling parses the -sampling flag syntax shared by the cmd
-// tools: "off" or "" disables sampling, "on" or "default" selects
-// DefaultSampling, and "PERIOD/DETAIL/WARMUP" (instruction counts, e.g.
-// "32768/4096/8192") sets the knob explicitly.
+// ParseSampling parses the sampling knob syntax of the -scenario
+// sampling= token and the server's sampling field: "off" or "" disables
+// sampling, "on" or "default" selects DefaultSampling, and
+// "PERIOD/DETAIL/WARMUP" (instruction counts, e.g. "32768/4096/8192")
+// sets the knob explicitly.
 func ParseSampling(s string) (Sampling, error) { return machine.ParseSampling(s) }
 
 // Fidelity selects the simulation tier for Options.Fidelity: exact
@@ -166,8 +167,9 @@ const (
 	FidelityAnalytic = machine.FidelityAnalytic
 )
 
-// ParseFidelity parses the -fidelity flag syntax shared by the cmd
-// tools: "exact" (or ""), "sampled", or "analytic".
+// ParseFidelity parses the fidelity tier syntax of the -scenario flag
+// and the server's fidelity field: "exact" (or ""), "sampled", or
+// "analytic".
 func ParseFidelity(s string) (Fidelity, error) { return machine.ParseFidelity(s) }
 
 // Scenario bundles every knob that changes what a campaign measures —
@@ -196,9 +198,9 @@ const (
 	PlaceWorst   = machine.PlaceWorst
 )
 
-// ParseTopology parses the -topo flag syntax shared by the cmd tools:
-// "" (or "off") disables topology modelling, otherwise "4P4E-random"
-// style (class sizes plus a placement policy).
+// ParseTopology parses the topology syntax of the -scenario topo=
+// token: "" (or "off") disables topology modelling, otherwise
+// "4P4E-random" style (class sizes plus a placement policy).
 func ParseTopology(s string) (Topology, error) { return machine.ParseTopology(s) }
 
 // ParsePlacement parses a placement policy name: "pinned-p" (or "" or
