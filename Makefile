@@ -19,7 +19,7 @@ bench:
 
 # Run every fuzz target over its seed corpus (no fuzzing engine time).
 fuzz-seed:
-	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/rdist ./internal/machine ./internal/cliflags
+	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/rdist ./internal/machine ./internal/cliflags ./internal/sweep
 
 # One-iteration pass over the kernel benchmarks: catches benchmarks that
 # no longer build or crash without paying for stable timings. The
@@ -84,8 +84,10 @@ race-fanout:
 # real worker pools at K in {2,3,4,8} (short stream lengths under
 # -short keep it fast), and the pinned-result test holds every windowed
 # run path (sampled, parallel, shared, scenario, threaded) to its
-# committed result digests.
+# committed result digests. The shared-pass family tests run l3.ways
+# siblings at Parallelism 2, where workers run different pairs' passes
+# and wait on each other's.
 race-kernel:
-	$(GO) test -race -short -run='^TestParallel|^TestPinnedResults$$' -count=1 ./internal/machine ./internal/core
+	$(GO) test -race -short -run='^TestParallel|^TestPinnedResults$$|^TestFamily|^TestSweepFamily' -count=1 ./internal/machine ./internal/core ./internal/sweep
 
 ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel

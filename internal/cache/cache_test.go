@@ -370,3 +370,52 @@ func BenchmarkHierarchyData(b *testing.B) {
 		h.Data(uint64(rng.Intn(1<<22))*64, AccessLoad)
 	}
 }
+
+// TestHierarchyPrefetcherPerHierarchy: hierarchies built from one
+// configuration each start from a fresh detector, so a stride learned
+// in one run never issues prefetches in the next.
+func TestHierarchyPrefetcherPerHierarchy(t *testing.T) {
+	cfg := testHierarchyConfig()
+	cfg.Prefetcher = &StridePrefetcher{LineBytes: 64, Degree: 2}
+	trained := NewHierarchy(cfg)
+	for i := 0; i < 6; i++ {
+		trained.Data(uint64(i)*4096, AccessLoad)
+	}
+	if got := trained.Data(6*4096, AccessLoad); got != HitL2 {
+		t.Fatalf("trained hierarchy: line on the stride = %v, want l2_hit from prefetch", got)
+	}
+	// One miss further along the stride: a detector carried over from
+	// the trained run would prefetch the next line on it.
+	fresh := NewHierarchy(cfg)
+	fresh.Data(7*4096, AccessLoad)
+	if got := fresh.Data(8*4096, AccessLoad); got != HitMemory {
+		t.Errorf("fresh hierarchy: next line on the stride = %v, want mem (no inherited stride)", got)
+	}
+}
+
+// TestHierarchySiblingSeesL3Stream: a sibling last level takes exactly
+// the L3's accesses — demand misses and prefetch fills — while the L3
+// alone decides the reported level.
+func TestHierarchySiblingSeesL3Stream(t *testing.T) {
+	cfg := testHierarchyConfig()
+	cfg.Prefetcher = &NextLinePrefetcher{LineBytes: 64, Degree: 1}
+	h := NewHierarchy(cfg)
+	sib := New(cfg.L3)
+	h.AddSibling(sib)
+	rng := xrand.NewPCG32(5)
+	for i := 0; i < 4000; i++ {
+		kind := AccessLoad
+		if i%3 == 0 {
+			kind = AccessStore
+		}
+		h.DataHot(uint64(rng.Intn(1<<16))*64, kind)
+	}
+	l3 := h.Cache(L3)
+	if l3.Stats() != sib.Stats() || l3.LoadStats() != sib.LoadStats() || l3.StoreStats() != sib.StoreStats() || l3.Fills() != sib.Fills() {
+		t.Errorf("sibling stats %+v (fills %d) differ from the L3's %+v (fills %d)", sib.Stats(), sib.Fills(), l3.Stats(), l3.Fills())
+	}
+	h.ResetStats()
+	if sib.Stats() != (Stats{}) {
+		t.Errorf("ResetStats left sibling stats %+v", sib.Stats())
+	}
+}

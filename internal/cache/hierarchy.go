@@ -85,6 +85,9 @@ type Hierarchy struct {
 	l1i, l1d, l2 *Cache
 	l3           *Cache
 	pf           Prefetcher
+	// siblings are alternative last levels fed the same L2 miss stream
+	// as l3 (see AddSibling); they never affect the reported hit level.
+	siblings []*Cache
 }
 
 // NewHierarchy builds a hierarchy with a private L3.
@@ -100,8 +103,54 @@ func NewShared(cfg HierarchyConfig, l3 *Cache) *Hierarchy {
 		l1d: New(cfg.L1D),
 		l2:  New(cfg.L2),
 		l3:  l3,
-		pf:  cfg.Prefetcher,
+		pf:  freshPrefetcher(cfg.Prefetcher),
 	}
+}
+
+// freshPrefetcher returns a stateless copy of the package's own
+// prefetchers, so every hierarchy built from one configuration starts
+// from the same detector state and no two hierarchies share a scratch
+// buffer. Other implementations are used as given.
+func freshPrefetcher(pf Prefetcher) Prefetcher {
+	switch p := pf.(type) {
+	case *NextLinePrefetcher:
+		return &NextLinePrefetcher{LineBytes: p.LineBytes, Degree: p.Degree}
+	case *StridePrefetcher:
+		return &StridePrefetcher{LineBytes: p.LineBytes, Degree: p.Degree}
+	}
+	return pf
+}
+
+// AddSibling attaches a sibling last level: a private cache that sees
+// exactly the accesses the L3 sees — every L2 demand miss, L2 prefetch
+// miss and (on the unified code path) L2 fetch miss — while the L3
+// alone decides the hit level the hierarchy reports. Nothing above the
+// L3 depends on its outcome in a private hierarchy, so a sibling ends a
+// run in exactly the state, with exactly the statistics, it would have
+// as this hierarchy's L3. A run over several siblings measures several
+// last-level configurations in one pass. Siblings are reset with the
+// hierarchy. A shared L3's back-invalidations reach the private levels,
+// so siblings are meant for private hierarchies only.
+func (h *Hierarchy) AddSibling(c *Cache) { h.siblings = append(h.siblings, c) }
+
+// Siblings returns the attached sibling last levels, in attach order.
+func (h *Hierarchy) Siblings() []*Cache { return h.siblings }
+
+// lastLevel sends an L2 miss to the L3 and every sibling through the
+// reference Access path and reports whether the L3 hit.
+func (h *Hierarchy) lastLevel(addr uint64, kind AccessKind) bool {
+	for _, s := range h.siblings {
+		s.Access(addr, kind)
+	}
+	return h.l3.Access(addr, kind)
+}
+
+// lastLevelHot is lastLevel through AccessHot.
+func (h *Hierarchy) lastLevelHot(addr uint64, kind AccessKind) bool {
+	for _, s := range h.siblings {
+		s.AccessHot(addr, kind)
+	}
+	return h.l3.AccessHot(addr, kind)
 }
 
 // Cache returns the cache at the given level of the data path (L1 returns
@@ -130,7 +179,7 @@ func (h *Hierarchy) Fetch(pc uint64) HitLevel {
 	if h.l2.Access(pc, AccessFetch) {
 		return HitL2
 	}
-	if h.l3.Access(pc, AccessFetch) {
+	if h.lastLevel(pc, AccessFetch) {
 		return HitL3
 	}
 	return HitMemory
@@ -147,13 +196,13 @@ func (h *Hierarchy) Data(addr uint64, kind AccessKind) HitLevel {
 		level = HitL1
 	case h.l2.Access(addr, kind):
 		level = HitL2
-	case h.l3.Access(addr, kind):
+	case h.lastLevel(addr, kind):
 		level = HitL3
 	}
 	if level != HitL1 && h.pf != nil {
 		for _, p := range h.pf.Observe(addr) {
 			if !h.l2.Access(p, AccessPrefetch) {
-				h.l3.Access(p, AccessPrefetch)
+				h.lastLevel(p, AccessPrefetch)
 			}
 		}
 	}
@@ -171,7 +220,7 @@ func (h *Hierarchy) FetchHot(pc uint64) HitLevel {
 	if h.l2.AccessHot(pc, AccessFetch) {
 		return HitL2
 	}
-	if h.l3.AccessHot(pc, AccessFetch) {
+	if h.lastLevelHot(pc, AccessFetch) {
 		return HitL3
 	}
 	return HitMemory
@@ -187,13 +236,13 @@ func (h *Hierarchy) DataHot(addr uint64, kind AccessKind) HitLevel {
 		level = HitL1
 	case h.l2.AccessHot(addr, kind):
 		level = HitL2
-	case h.l3.AccessHot(addr, kind):
+	case h.lastLevelHot(addr, kind):
 		level = HitL3
 	}
 	if level != HitL1 && h.pf != nil {
 		for _, p := range h.pf.Observe(addr) {
 			if !h.l2.AccessHot(p, AccessPrefetch) {
-				h.l3.AccessHot(p, AccessPrefetch)
+				h.lastLevelHot(p, AccessPrefetch)
 			}
 		}
 	}
@@ -210,13 +259,13 @@ func (h *Hierarchy) DataHotMiss(addr uint64, kind AccessKind) HitLevel {
 	switch {
 	case h.l2.AccessHot(addr, kind):
 		level = HitL2
-	case h.l3.AccessHot(addr, kind):
+	case h.lastLevelHot(addr, kind):
 		level = HitL3
 	}
 	if h.pf != nil {
 		for _, p := range h.pf.Observe(addr) {
 			if !h.l2.AccessHot(p, AccessPrefetch) {
-				h.l3.AccessHot(p, AccessPrefetch)
+				h.lastLevelHot(p, AccessPrefetch)
 			}
 		}
 	}
@@ -230,6 +279,9 @@ func (h *Hierarchy) Reset() {
 	h.l1d.Reset()
 	h.l2.Reset()
 	h.l3.Reset()
+	for _, s := range h.siblings {
+		s.Reset()
+	}
 }
 
 // Prefetcher observes demand miss addresses and proposes line addresses to
@@ -314,4 +366,7 @@ func (h *Hierarchy) ResetStats() {
 	h.l1d.ResetStats()
 	h.l2.ResetStats()
 	h.l3.ResetStats()
+	for _, s := range h.siblings {
+		s.ResetStats()
+	}
 }

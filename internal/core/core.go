@@ -309,6 +309,20 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		// Characteristics shape (per-mode aggregation, distributions).
 		return characterizeScenario(ctx, pair, opt)
 	}
+	res, err := characterizePass(ctx, pair, []Options{opt})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// characterizePass simulates one pair's stream once and characterizes
+// it under each of opts, which hold normalized single-stream options.
+// More than one entry is a shared-pass family (CharacterizeFamily):
+// configurations that differ only in L3 ways, measured together by
+// machine.RunFamily.
+func characterizePass(ctx context.Context, pair profile.Pair, opts []Options) ([]*Characteristics, error) {
+	opt := opts[0]
 	m := pair.Model
 	gen, err := synth.New(m, opt.Machine.Geometry())
 	if err != nil {
@@ -323,22 +337,42 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		// generator prologue stays mandatory.
 		mopt.Sampling, mopt.WarmupFraction = opt.Sampling, -1
 	}
-	var res *machine.Result
+	var res []*machine.Result
 	switch {
 	case opt.Fidelity == machine.FidelityAnalytic:
-		res, err = analytic.Run(opt.Machine, gen, mopt)
+		res, err = one(analytic.Run(opt.Machine, gen, mopt))
 	case opt.IntraPairWorkers > 1:
 		// Every window needs an independently positioned copy of the
 		// stream, so the kernel gets the factory, not gen.
-		res, err = machine.RunParallel(opt.Machine, func() (trace.Source, error) {
+		res, err = one(machine.RunParallel(opt.Machine, func() (trace.Source, error) {
 			return synth.New(m, opt.Machine.Geometry())
-		}, mopt, opt.IntraPairWorkers)
+		}, mopt, opt.IntraPairWorkers))
 	default:
-		res, err = machine.Run(opt.Machine, gen, mopt)
+		cfgs := make([]machine.Config, len(opts))
+		for i := range opts {
+			cfgs[i] = opts[i].Machine
+		}
+		res, err = machine.RunFamily(cfgs, gen, mopt)
 	}
 	if err != nil {
 		return nil, err
 	}
+	out := make([]*Characteristics, len(res))
+	for i, r := range res {
+		out[i] = pairCharacteristics(pair, opts[i], r)
+	}
+	return out, nil
+}
+
+// one wraps a single-configuration run's result for characterizePass.
+func one(r *machine.Result, err error) ([]*machine.Result, error) {
+	return []*machine.Result{r}, err
+}
+
+// pairCharacteristics derives a single-stream pair's Characteristics
+// from its simulation result.
+func pairCharacteristics(pair profile.Pair, opt Options, res *machine.Result) *Characteristics {
+	m := pair.Model
 	counters := res.Counters
 	if opt.MultiplexSlots > 0 {
 		counters = perf.Multiplex(counters, opt.MultiplexSlots, m.Seed)
@@ -356,7 +390,7 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 	}
 	c.addMix(counters, 1)
 	c.ExecSeconds = execSeconds(m.InstrBillions, c.IPC, opt.Machine.ClockHz, m.Threads)
-	return c, nil
+	return c
 }
 
 // pairOptions builds the machine options a pair's simulation runs with:

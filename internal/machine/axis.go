@@ -13,8 +13,22 @@ import (
 // swept dimension to the same base configuration, then validates the
 // resulting point once with Config.Validate.
 
-// axisSetter mutates one configuration parameter in place.
-type axisSetter func(*Config, int64) error
+// axisParam sets one configuration parameter in place; max bounds its
+// values.
+type axisParam struct {
+	set func(*Config, int64)
+	max int64
+}
+
+// Axis value bounds, far past any real part: beyond them a point is no
+// plausible core, and simulating it would allocate structures too large
+// to run.
+const (
+	maxAxisBytes = 1 << 30
+	maxAxisWays  = 1 << 12
+	maxAxisLine  = 1 << 12
+	maxAxisDepth = 1 << 16
+)
 
 // axisParams maps axis parameter names to their setters. Cache levels
 // expose size (bytes) and ways; "line" sets the line size of every
@@ -22,24 +36,23 @@ type axisSetter func(*Config, int64) error
 // because the hierarchy models a single line size end to end (mixed
 // line sizes would make the inter-level insertion rates physically
 // meaningless).
-var axisParams = map[string]axisSetter{
-	"l1i.size": func(c *Config, v int64) error { c.Hierarchy.L1I.SizeBytes = int(v); return nil },
-	"l1d.size": func(c *Config, v int64) error { c.Hierarchy.L1D.SizeBytes = int(v); return nil },
-	"l2.size":  func(c *Config, v int64) error { c.Hierarchy.L2.SizeBytes = int(v); return nil },
-	"l3.size":  func(c *Config, v int64) error { c.Hierarchy.L3.SizeBytes = int(v); return nil },
-	"l1i.ways": func(c *Config, v int64) error { c.Hierarchy.L1I.Ways = int(v); return nil },
-	"l1d.ways": func(c *Config, v int64) error { c.Hierarchy.L1D.Ways = int(v); return nil },
-	"l2.ways":  func(c *Config, v int64) error { c.Hierarchy.L2.Ways = int(v); return nil },
-	"l3.ways":  func(c *Config, v int64) error { c.Hierarchy.L3.Ways = int(v); return nil },
-	"line": func(c *Config, v int64) error {
+var axisParams = map[string]axisParam{
+	"l1i.size": {func(c *Config, v int64) { c.Hierarchy.L1I.SizeBytes = int(v) }, maxAxisBytes},
+	"l1d.size": {func(c *Config, v int64) { c.Hierarchy.L1D.SizeBytes = int(v) }, maxAxisBytes},
+	"l2.size":  {func(c *Config, v int64) { c.Hierarchy.L2.SizeBytes = int(v) }, maxAxisBytes},
+	"l3.size":  {func(c *Config, v int64) { c.Hierarchy.L3.SizeBytes = int(v) }, maxAxisBytes},
+	"l1i.ways": {func(c *Config, v int64) { c.Hierarchy.L1I.Ways = int(v) }, maxAxisWays},
+	"l1d.ways": {func(c *Config, v int64) { c.Hierarchy.L1D.Ways = int(v) }, maxAxisWays},
+	"l2.ways":  {func(c *Config, v int64) { c.Hierarchy.L2.Ways = int(v) }, maxAxisWays},
+	"l3.ways":  {func(c *Config, v int64) { c.Hierarchy.L3.Ways = int(v) }, maxAxisWays},
+	"line": {func(c *Config, v int64) {
 		c.Hierarchy.L1I.LineBytes = int(v)
 		c.Hierarchy.L1D.LineBytes = int(v)
 		c.Hierarchy.L2.LineBytes = int(v)
 		c.Hierarchy.L3.LineBytes = int(v)
-		return nil
-	},
-	"btb.bits":  func(c *Config, v int64) error { c.BTBBits = int(v); return nil },
-	"ras.depth": func(c *Config, v int64) error { c.RASDepth = int(v); return nil },
+	}, maxAxisLine},
+	"btb.bits":  {func(c *Config, v int64) { c.BTBBits = int(v) }, 24},
+	"ras.depth": {func(c *Config, v int64) { c.RASDepth = int(v) }, maxAxisDepth},
 }
 
 // AxisParams returns the supported axis parameter names, sorted.
@@ -55,19 +68,20 @@ func AxisParams() []string {
 // ApplyAxis returns cfg with the named parameter set to value. The
 // returned configuration is a copy — cfg is never mutated — but is not
 // yet validated: a sweep applies every axis of a grid point first and
-// validates the point once. Unknown parameters and non-positive values
-// are rejected here so the error names the axis, not a derived
-// geometry constraint.
+// validates the point once. Unknown parameters and values outside
+// (0, max] are rejected here so the error names the axis, not a
+// derived geometry constraint.
 func ApplyAxis(cfg Config, param string, value int64) (Config, error) {
-	set, ok := axisParams[param]
+	p, ok := axisParams[param]
 	if !ok {
 		return Config{}, fmt.Errorf("machine: unknown axis parameter %q (supported: %v)", param, AxisParams())
 	}
 	if value <= 0 {
 		return Config{}, fmt.Errorf("machine: axis %s: non-positive value %d", param, value)
 	}
-	if err := set(&cfg, value); err != nil {
-		return Config{}, fmt.Errorf("machine: axis %s: %w", param, err)
+	if value > p.max {
+		return Config{}, fmt.Errorf("machine: axis %s: value %d exceeds %d", param, value, p.max)
 	}
+	p.set(&cfg, value)
 	return cfg, nil
 }

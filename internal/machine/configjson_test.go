@@ -176,6 +176,13 @@ func TestApplyAxis(t *testing.T) {
 	if _, err := ApplyAxis(base, "l3.ways", 0); err == nil {
 		t.Error("non-positive axis value accepted")
 	}
+	// Values past any real part are refused before they can size a
+	// simulated structure.
+	for param, v := range map[string]int64{"l3.size": 2 << 30, "l2.ways": 1 << 20, "line": 1 << 20, "ras.depth": 1 << 40} {
+		if _, err := ApplyAxis(base, param, v); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s=%d: error = %v", param, v, err)
+		}
+	}
 
 	// Distinct axis values must yield distinct fingerprints (distinct
 	// result-cache keyspaces), or a sweep would alias its cells.

@@ -159,6 +159,16 @@ func (c Config) Fingerprint() string {
 	return b.String()
 }
 
+// WaysFamily returns the configuration's fingerprint without its name
+// and L3 associativity. Configurations with equal WaysFamily see the
+// same uop stream (Geometry ignores ways) and behave identically above
+// the L3, so RunFamily can measure them in one pass.
+func (c Config) WaysFamily() string {
+	c.Name = ""
+	c.Hierarchy.L3.Ways = 0
+	return c.Fingerprint()
+}
+
 // Geometry returns the cache capacities in lines, for the trace generator.
 func (c Config) Geometry() synth.Geometry {
 	return synth.Geometry{
@@ -284,13 +294,52 @@ type Result struct {
 }
 
 // Run simulates one uop stream on the machine. The source must produce at
-// least the requested number of instructions.
+// least the requested number of instructions. It is the one-L3 case of
+// RunFamily.
 func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
-	if err := validateRun(cfg, opt, runSequential); err != nil {
+	res, err := RunFamily([]Config{cfg}, src, opt)
+	if err != nil {
 		return nil, err
+	}
+	return res[0], nil
+}
+
+// RunFamily simulates one uop stream once for a family of machines that
+// differ only in L3 associativity (equal WaysFamily) and returns one
+// Result per configuration, in order. Every level above the L3 runs
+// once; the L2's miss stream feeds one real L3 per configuration
+// (cache.Hierarchy.AddSibling), so each Result is bit-identical to Run
+// on that configuration alone, under every replacement policy. A
+// family of one is Run. Sampling re-tiles the stream per run and does
+// not compose with a family of more than one.
+func RunFamily(cfgs []Config, src trace.Source, opt Options) ([]*Result, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("machine: empty configuration family")
+	}
+	cfg := cfgs[0]
+	kind := runSequential
+	if len(cfgs) > 1 {
+		kind = runFamily
+	}
+	if err := validateRun(cfg, opt, kind); err != nil {
+		return nil, err
+	}
+	if len(cfgs) > 1 {
+		fam := cfg.WaysFamily()
+		for _, c := range cfgs[1:] {
+			if err := c.Validate(); err != nil {
+				return nil, err
+			}
+			if c.WaysFamily() != fam {
+				return nil, fmt.Errorf("machine: %q differs from %q beyond L3 ways", c.Name, cfg.Name)
+			}
+		}
 	}
 	var times stageTimes
 	s := newStream(cfg, nil, src, batchBuf(opt), opt, &times)
+	for _, c := range cfgs[1:] {
+		s.c.hier.AddSibling(cache.New(c.Hierarchy.L3))
+	}
 	if warm := warmupLength(opt); warm > 0 {
 		if err := s.warmup(warm); err != nil {
 			return nil, err
@@ -299,20 +348,52 @@ func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
 	}
 	sp := opt.Sampling
 	if sp.Enabled() && opt.Instructions >= 2*sp.Period {
-		return s.runSampled(cfg)
+		res, err := s.runSampled(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return []*Result{res}, nil
 	}
 	snap, err := s.count(opt.Instructions, stageSimulate)
 	if err != nil {
 		return nil, err
 	}
 	times.record(opt.Span, stageSimulate)
-	res, err := s.c.finish(cfg, opt, snap)
-	if err == nil && sp.Enabled() {
-		// A stream under two periods has no room for a settle window
-		// plus a counted window; it ran exact.
-		res.Sampling = &SamplingStats{Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen, SampledFraction: 1}
+	// The warmup cleared every statistic, the siblings' included, so
+	// their demand hits cover exactly the counted window.
+	sibs := s.c.hier.Siblings()
+	out := make([]*Result, len(cfgs))
+	for i, c := range cfgs {
+		cs := snap
+		if i > 0 {
+			cs = snap.withL3(sibs[i-1])
+		}
+		res, err := s.c.finish(c, opt, cs)
+		if err != nil {
+			return nil, err
+		}
+		if sp.Enabled() {
+			// A stream under two periods has no room for a settle window
+			// plus a counted window; it ran exact.
+			res.Sampling = &SamplingStats{Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen, SampledFraction: 1}
+		}
+		out[i] = res
 	}
-	return res, err
+	return out, nil
+}
+
+// withL3 returns the snapshot a run whose L3 was l3 would have
+// counted. Every load and store that reaches the L3 missed the shared
+// L2, so the L3-or-memory totals are the same for every sibling; only
+// their split moves, by l3's load and store demand hits.
+func (s counterSnap) withL3(l3 *cache.Cache) counterSnap {
+	loadHits, storeHits := l3.LoadStats().Hits, l3.StoreStats().Hits
+	loads := s.loadLevel[cache.HitL3] + s.loadLevel[cache.HitMemory]
+	s.loadLevel[cache.HitL3], s.loadLevel[cache.HitMemory] = loadHits, loads-loadHits
+	data := s.dataLevel[cache.HitL3] + s.dataLevel[cache.HitMemory]
+	s.dataLevel[cache.HitL3] = loadHits + storeHits
+	s.dataLevel[cache.HitMemory] = data - s.dataLevel[cache.HitL3]
+	return s
 }
 
 // core holds the per-stream simulation state.

@@ -24,6 +24,7 @@ type runKind int
 
 const (
 	runSequential runKind = iota
+	runFamily
 	runReference
 	runParallel
 	runShared
@@ -31,10 +32,10 @@ const (
 
 // validateRun is the one place that decides which options each entry
 // point accepts. Sampling composes only with the sequential batched
-// run: the reference kernel is the exact-run specification, parallel
-// windows re-tile the stream the way sampling does, and skipping one
-// stream of a shared-L3 run would still age the shared L3 through the
-// others.
+// run of one machine: the reference kernel is the exact-run
+// specification, a multi-machine family pass and parallel windows
+// count whole streams, and skipping one stream of a shared-L3 run would
+// still age the shared L3 through the others.
 func validateRun(cfg Config, opt Options, kind runKind) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -51,6 +52,8 @@ func validateRun(cfg Config, opt Options, kind runKind) error {
 	switch kind {
 	case runReference:
 		return fmt.Errorf("machine: sampling requires the batched kernel (use Run)")
+	case runFamily:
+		return fmt.Errorf("machine: sampling does not compose with a multi-configuration pass")
 	case runParallel:
 		return fmt.Errorf("machine: sampling does not compose with parallel windowed simulation (both re-tile the measured stream)")
 	case runShared:

@@ -26,6 +26,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -130,8 +131,8 @@ func (s Spec) Validate() error {
 	}
 	seen := make(map[string]bool, len(s.Axes))
 	for _, ax := range s.Axes {
-		if len(ax.Values) == 0 {
-			return fmt.Errorf("sweep: axis %q has no values", ax.Param)
+		if err := ax.check(); err != nil {
+			return err
 		}
 		if seen[ax.Param] {
 			return fmt.Errorf("sweep: axis %q listed twice", ax.Param)
@@ -157,6 +158,24 @@ func (s Spec) Validate() error {
 		if !s.EscalateOff && s.Escalate != machine.FidelityExact {
 			return fmt.Errorf("sweep: axis %s requires an exact (or disabled) escalate tier (got %s)", RateAxis, s.Escalate)
 		}
+	}
+	return nil
+}
+
+// check rejects an axis with no values or with one value listed twice
+// ("l3.ways=8,8", or "l3.size=1MiB,1M", which parse to one value): a
+// repeated value would expand into two points with one label and one
+// cache keyspace, reported twice on every frontier.
+func (ax Axis) check() error {
+	if len(ax.Values) == 0 {
+		return fmt.Errorf("sweep: axis %q has no values", ax.Param)
+	}
+	seen := make(map[int64]bool, len(ax.Values))
+	for _, v := range ax.Values {
+		if seen[v] {
+			return fmt.Errorf("sweep: axis %q lists %s twice", ax.Param, FormatAxisValue(ax.Param, v))
+		}
+		seen[v] = true
 	}
 	return nil
 }
@@ -250,13 +269,16 @@ func parseAxisValue(s string) (int64, error) {
 	} {
 		if strings.HasSuffix(lower, suf.text) {
 			mult = suf.mult
-			s = s[:len(s)-len(suf.text)]
+			s = lower[:len(lower)-len(suf.text)]
 			break
 		}
 	}
 	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad value %q", s)
+	}
+	if v > math.MaxInt64/mult || v < math.MinInt64/mult {
+		return 0, fmt.Errorf("value %q out of range", s)
 	}
 	return v * mult, nil
 }
@@ -269,8 +291,8 @@ func parseAxisValue(s string) (int64, error) {
 func Expand(base machine.Config, axes []Axis) ([]Point, error) {
 	total := 1
 	for _, ax := range axes {
-		if len(ax.Values) == 0 {
-			return nil, fmt.Errorf("sweep: axis %q has no values", ax.Param)
+		if err := ax.check(); err != nil {
+			return nil, err
 		}
 		total *= len(ax.Values)
 		if total > MaxPoints {
@@ -521,6 +543,12 @@ type engine struct {
 	run    Runner
 	points []Point
 	start  time.Time
+	// shared reports whether points may share stream passes: only the
+	// default runner simulates locally, so a substituted Runner (the
+	// fleet's) runs point by point.
+	shared bool
+	// cells counts the cells completed across both phases.
+	cells int
 
 	prog Progress
 }
@@ -540,7 +568,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{spec: spec, opt: opt, run: opt.Run, points: points, start: time.Now()}
+	e := &engine{spec: spec, opt: opt, run: opt.Run, points: points, start: time.Now(), shared: opt.Run == nil}
 	if e.run == nil {
 		e.run = func(ctx context.Context, pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
 			opt.Context = ctx
@@ -570,17 +598,82 @@ func (e *engine) tierOptions(ctx context.Context, pt Point, tier machine.Fidelit
 	return opt
 }
 
-// runPoint executes one point at one tier, streaming cell progress and
-// returning the campaign's final scheduling snapshot for tier
-// accounting.
-func (e *engine) runPoint(ctx context.Context, pt Point, tier machine.Fidelity, phase string, baseCells int) ([]core.Characteristics, sched.Progress, error) {
-	opt := e.tierOptions(ctx, pt, tier)
-	var last sched.Progress
-	opt.Progress = func(p sched.Progress) {
-		last = p
-		e.emit(phase, baseCells+p.Done)
+// groups partitions the points idx into the units one phase runs at
+// tier: each group shares stream passes (core.FamilyKey), in order of
+// its first point; every point core does not let share is a group of
+// one.
+func (e *engine) groups(ctx context.Context, idx []int, tier machine.Fidelity) [][]int {
+	var out [][]int
+	byKey := map[string]int{}
+	for _, i := range idx {
+		if e.shared {
+			if key, ok := core.FamilyKey(e.tierOptions(ctx, e.points[i], tier)); ok {
+				if g, seen := byKey[key]; seen {
+					out[g] = append(out[g], i)
+					continue
+				}
+				byKey[key] = len(out)
+			}
+		}
+		out = append(out, []int{i})
 	}
-	chars, err := e.run(ctx, e.spec.Pairs, opt)
+	return out
+}
+
+// runPhase runs the points idx at tier, one group at a time, and
+// returns each point's cells by point index. Progress and the phase's
+// cell counts advance per group.
+func (e *engine) runPhase(ctx context.Context, idx []int, tier machine.Fidelity, phase string, counts *CellCounts) (map[int][]core.Characteristics, error) {
+	out := make(map[int][]core.Characteristics, len(idx))
+	done := 0
+	for _, g := range e.groups(ctx, idx, tier) {
+		chars, last, err := e.runGroup(ctx, g, tier, phase)
+		if err != nil {
+			labels := make([]string, len(g))
+			for k, i := range g {
+				labels[k] = e.points[i].Label
+			}
+			verb := "point"
+			if phase == "escalate" {
+				verb = "escalating point"
+			}
+			return nil, fmt.Errorf("sweep: %s %s: %w", verb, strings.Join(labels, " + "), err)
+		}
+		for k, i := range g {
+			out[i] = chars[k]
+		}
+		e.cells += len(g) * len(e.spec.Pairs)
+		counts.add(last)
+		done += len(g)
+		e.prog.PointsDone = done
+		e.prog.CellsDone = e.cells
+		e.emit(phase, e.cells)
+	}
+	return out, nil
+}
+
+// runGroup executes one group of points at one tier — a single point
+// through the runner, or a family through core.CharacterizeFamily —
+// streaming cell progress and returning the campaign's final
+// scheduling snapshot for tier accounting.
+func (e *engine) runGroup(ctx context.Context, g []int, tier machine.Fidelity, phase string) ([][]core.Characteristics, sched.Progress, error) {
+	var last sched.Progress
+	progress := func(p sched.Progress) {
+		last = p
+		e.emit(phase, e.cells+p.Done)
+	}
+	if len(g) == 1 {
+		opt := e.tierOptions(ctx, e.points[g[0]], tier)
+		opt.Progress = progress
+		chars, err := e.run(ctx, e.spec.Pairs, opt)
+		return [][]core.Characteristics{chars}, last, err
+	}
+	sibs := make([]core.Sibling, len(g))
+	for k, i := range g {
+		sibs[k] = core.Sibling{Label: e.points[i].Label, Options: e.tierOptions(ctx, e.points[i], tier)}
+	}
+	sibs[0].Options.Progress = progress
+	chars, err := core.CharacterizeFamily(e.spec.Pairs, sibs)
 	return chars, last, err
 }
 
@@ -611,27 +704,18 @@ func (e *engine) execute(ctx context.Context) (*Result, error) {
 	// scheduling happens inside the campaign engine: each cell's
 	// content key is looked up in the memory cache and the
 	// content-addressed store before any simulation is dispatched.
-	screened := make([][]core.Characteristics, len(e.points))
-	cells := 0
+	all := make([]int, len(e.points))
+	for i := range all {
+		all[i] = i
+	}
+	screened, err := e.runPhase(ctx, all, e.spec.Screen, "screen", &e.prog.Screen)
+	if err != nil {
+		return nil, err
+	}
 	for i, pt := range e.points {
-		chars, last, err := e.runPoint(ctx, pt, e.spec.Screen, "screen", cells)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: point %s: %w", pt.Label, err)
-		}
-		screened[i] = chars
-		cells += nPairs
-		e.prog.Screen.add(last)
-		e.prog.PointsDone = i + 1
-		e.prog.CellsDone = cells
-		e.emit("screen", cells)
-
-		metrics := make(map[string]float64, len(e.spec.Metrics))
-		for _, m := range e.spec.Metrics {
-			metrics[m] = core.Aggregate(chars, metricDefs[m].pick).Mean
-		}
 		res.Points[i] = PointResult{
 			Label: pt.Label, Values: pt.Values, CostBytes: pt.CostBytes,
-			Metrics: metrics,
+			Metrics: e.aggregate(screened[i]),
 		}
 	}
 
@@ -662,7 +746,7 @@ func (e *engine) execute(ctx context.Context) (*Result, error) {
 	// differential again, so a frontier point escalated by an earlier
 	// sweep costs nothing.
 	doEscalate := !e.spec.EscalateOff && e.spec.Escalate != e.spec.Screen && len(escalate) > 0
-	escalated := make(map[int][]core.Characteristics)
+	var escalated map[int][]core.Characteristics
 	if doEscalate {
 		res.EscalateTier = e.spec.Escalate.String()
 		escIdx := make([]int, 0, len(escalate))
@@ -673,23 +757,12 @@ func (e *engine) execute(ctx context.Context) (*Result, error) {
 		e.prog.Phase = "escalate"
 		e.prog.PointsDone, e.prog.PointsTotal = 0, len(escIdx)
 		e.prog.CellsTotal += len(escIdx) * nPairs
-		for n, i := range escIdx {
-			chars, last, err := e.runPoint(ctx, e.points[i], e.spec.Escalate, "escalate", cells)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: escalating point %s: %w", e.points[i].Label, err)
-			}
-			escalated[i] = chars
-			cells += nPairs
-			e.prog.Escalate.add(last)
-			e.prog.PointsDone = n + 1
-			e.prog.CellsDone = cells
-			e.emit("escalate", cells)
-
-			vals := make(map[string]float64, len(e.spec.Metrics))
-			for _, m := range e.spec.Metrics {
-				vals[m] = core.Aggregate(chars, metricDefs[m].pick).Mean
-			}
-			res.Points[i].Escalated = vals
+		escalated, err = e.runPhase(ctx, escIdx, e.spec.Escalate, "escalate", &e.prog.Escalate)
+		if err != nil {
+			return nil, err
+		}
+		for _, i := range escIdx {
+			res.Points[i].Escalated = e.aggregate(escalated[i])
 		}
 	}
 
@@ -750,6 +823,15 @@ func (e *engine) execute(ctx context.Context) (*Result, error) {
 
 	res.Screen = e.prog.Screen
 	res.Escalate = e.prog.Escalate
-	res.Cells = cells
+	res.Cells = e.cells
 	return res, nil
+}
+
+// aggregate reduces one point's cells to each swept metric's mean.
+func (e *engine) aggregate(chars []core.Characteristics) map[string]float64 {
+	vals := make(map[string]float64, len(e.spec.Metrics))
+	for _, m := range e.spec.Metrics {
+		vals[m] = core.Aggregate(chars, metricDefs[m].pick).Mean
+	}
+	return vals
 }

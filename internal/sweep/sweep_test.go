@@ -1,6 +1,7 @@
 package sweep_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -144,6 +146,22 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := run(func(s *sweep.Spec) { s.SSEWeight = -1 }); err == nil {
 		t.Error("negative SSE weight accepted")
+	}
+	// A value listed twice, in any spelling, would expand into two
+	// points sharing one label and one keyspace.
+	for _, text := range []string{"l3.ways=8,8", "l3.size=1MiB,1M"} {
+		ax, err := sweep.ParseAxis(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := testSpec(pairs)
+		s.Axes = []sweep.Axis{ax}
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "twice") {
+			t.Errorf("%s: Validate error = %v", text, err)
+		}
+		if _, err := sweep.Expand(machine.HaswellScaled(), s.Axes); err == nil {
+			t.Errorf("%s: Expand accepted a repeated value", text)
+		}
 	}
 }
 
@@ -438,6 +456,189 @@ func TestSweepDifferential(t *testing.T) {
 	}
 	if res3.Screen.Store != screenCells {
 		t.Errorf("overlap screen store hits = %d, want %d", res3.Screen.Store, screenCells)
+	}
+
+	t.Run("l3.ways family", testFamilyDifferential)
+}
+
+// familySpec sweeps two l3.size values by the given l3.ways values at
+// the exact tier, so each size's points form one shared-pass family.
+func familySpec(pairs []profile.Pair, ways ...int64) sweep.Spec {
+	return sweep.Spec{
+		Axes: []sweep.Axis{
+			{Param: "l3.size", Values: []int64{1 << 20, 2 << 20}},
+			{Param: "l3.ways", Values: ways},
+		},
+		Pairs:       pairs,
+		Screen:      machine.FidelityExact,
+		EscalateOff: true,
+		Metrics:     []string{"ipc", "l3_miss_pct", "l3_mpki"},
+	}
+}
+
+// perCell runs spec point by point through a substituted runner — the
+// path every sweep took before points shared stream passes — on a
+// fresh cache, as the reference a family sweep must reproduce.
+func perCell(t *testing.T, spec sweep.Spec) *sweep.Result {
+	t.Helper()
+	opt := baseOptions()
+	opt.Cache = sched.NewCache()
+	res, err := sweep.Run(context.Background(), spec, sweep.Options{
+		Base: opt,
+		Run: func(ctx context.Context, pairs []profile.Pair, o core.Options) ([]core.Characteristics, error) {
+			o.Context = ctx
+			return core.Characterize(pairs, o)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameResults requires two sweeps to report identical points and knees.
+func sameResults(t *testing.T, what string, got, want *sweep.Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Points, want.Points) {
+		t.Errorf("%s: points differ from the per-cell sweep\ngot:  %+v\nwant: %+v", what, got.Points, want.Points)
+	}
+	a, _ := json.Marshal(got.Knees)
+	b, _ := json.Marshal(want.Knees)
+	if string(a) != string(b) {
+		t.Errorf("%s: knee report differs from the per-cell sweep\ngot:  %s\nwant: %s", what, a, b)
+	}
+}
+
+// testFamilyDifferential: an exact l3.ways sweep shares stream passes
+// yet keeps the per-cell scoreboard — a cold run simulates every cell,
+// a repeat serves every cell from memory, a corrupt record for one
+// sibling re-simulates that cell alone, and widening the ways axis
+// simulates only the new cells — with results bit-identical to a
+// per-cell sweep throughout.
+func testFamilyDifferential(t *testing.T) {
+	dir := t.TempDir()
+	pairs := testPairs()
+	spec := familySpec(pairs, 8, 16)
+	cells := 4 * len(pairs)
+	ref := perCell(t, spec)
+
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := baseOptions()
+	opt.Store = st1
+	opt.Cache = sched.NewCache()
+	cold, err := sweep.Run(context.Background(), spec, sweep.Options{Base: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Screen != (sweep.CellCounts{Simulated: cells}) || cold.Cells != cells {
+		t.Errorf("cold family counts = %+v over %d cells, want %d simulated", cold.Screen, cold.Cells, cells)
+	}
+	sameResults(t, "cold", cold, ref)
+
+	again, err := sweep.Run(context.Background(), spec, sweep.Options{Base: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Screen != (sweep.CellCounts{Memory: cells}) {
+		t.Errorf("repeat family counts = %+v, want %d from memory", again.Screen, cells)
+	}
+	sameResults(t, "repeat", again, ref)
+
+	// One sibling's record damaged: that cell alone re-simulates.
+	var records []string
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			records = append(records, path)
+		}
+		return err
+	})
+	if len(records) != cells {
+		t.Fatalf("store holds %d records, want %d", len(records), cells)
+	}
+	sort.Strings(records)
+	data, err := os.ReadFile(records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(records[0], data[:len(data)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt2 := baseOptions()
+	opt2.Store = st2
+	opt2.Cache = sched.NewCache()
+	repaired, err := sweep.Run(context.Background(), spec, sweep.Options{Base: opt2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repaired.Screen != (sweep.CellCounts{Simulated: 1, Store: cells - 1}) {
+		t.Errorf("after corruption: %+v, want 1 simulated / %d store", repaired.Screen, cells-1)
+	}
+	sameResults(t, "repaired", repaired, ref)
+
+	// Widening l3.ways 2 -> 3 simulates only the new point's cells.
+	wider := familySpec(pairs, 8, 16, 32)
+	opt3 := baseOptions()
+	opt3.Store = st2
+	opt3.Cache = sched.NewCache()
+	widened, err := sweep.Run(context.Background(), wider, sweep.Options{Base: opt3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if widened.Screen != (sweep.CellCounts{Simulated: 2 * len(pairs), Store: cells}) {
+		t.Errorf("widened family counts = %+v, want %d simulated / %d store", widened.Screen, 2*len(pairs), cells)
+	}
+	sameResults(t, "widened", widened, perCell(t, wider))
+}
+
+// TestSweepFamilyParallel: a family sweep at Parallelism 2, where
+// workers run different pairs' shared passes concurrently, reproduces
+// the per-cell sweep and its trace holds one pair span per cell. The
+// race-kernel make target runs it under the race detector.
+func TestSweepFamilyParallel(t *testing.T) {
+	pairs := testPairs()
+	spec := familySpec(pairs, 4, 8, 16)
+	opt := baseOptions()
+	opt.Cache = sched.NewCache()
+	tr := obs.NewTrace()
+	opt.Trace = tr
+	res, err := sweep.Run(context.Background(), spec, sweep.Options{Base: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 6 * len(pairs)
+	if res.Screen != (sweep.CellCounts{Simulated: cells}) {
+		t.Errorf("family counts = %+v, want %d simulated", res.Screen, cells)
+	}
+	sameResults(t, "parallel", res, perCell(t, spec))
+
+	b, err := tr.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, spans, err := obs.ReadManifest(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairSpans, shared := 0, 0
+	for _, s := range spans {
+		if _, ok := s.Attrs["worker"]; ok {
+			pairSpans++
+			if _, ok := s.Attrs["shared_pass"]; ok {
+				shared++
+			}
+		}
+	}
+	// Each size's family runs one pass per pair, simulated by one cell;
+	// the other two siblings' cells share it.
+	if pairSpans != cells || shared != 2*2*len(pairs) {
+		t.Errorf("trace holds %d pair spans (%d shared), want %d (%d)", pairSpans, shared, cells, 2*2*len(pairs))
 	}
 }
 
