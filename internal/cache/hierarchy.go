@@ -133,9 +133,6 @@ func freshPrefetcher(pf Prefetcher) Prefetcher {
 // so siblings are meant for private hierarchies only.
 func (h *Hierarchy) AddSibling(c *Cache) { h.siblings = append(h.siblings, c) }
 
-// Siblings returns the attached sibling last levels, in attach order.
-func (h *Hierarchy) Siblings() []*Cache { return h.siblings }
-
 // lastLevel sends an L2 miss to the L3 and every sibling through the
 // reference Access path and reports whether the L3 hit.
 func (h *Hierarchy) lastLevel(addr uint64, kind AccessKind) bool {

@@ -226,48 +226,11 @@ func (c *Characteristics) MemPct() float64 { return c.LoadPct + c.StorePct }
 // from the cache bit-identically instead of being re-simulated.
 func Characterize(pairs []profile.Pair, opt Options) ([]Characteristics, error) {
 	opt = opt.withDefaults()
-	if err := validateFidelity(&opt); err != nil {
+	res, err := CharacterizeFamily(pairs, opt, []Sibling{{Label: opt.Machine.Name, Machine: opt.Machine}})
+	if err != nil {
 		return nil, err
 	}
-	if opt.Store != nil {
-		if opt.Cache == nil {
-			opt.Cache = sched.NewCache()
-		}
-		opt.Cache.SetBackend(opt.Store, CharacteristicsCodec{})
-	}
-	prefix := ""
-	if opt.Cache != nil {
-		prefix = campaignKeyPrefix(&opt)
-	}
-	tasks := make([]sched.Task[Characteristics], len(pairs))
-	for i := range pairs {
-		pair := pairs[i]
-		t := sched.Task[Characteristics]{Name: pair.Name()}
-		if opt.Cache != nil {
-			t.Key = pairKey(prefix, &pair)
-		}
-		t.Run = func(ctx context.Context) (Characteristics, error) {
-			c, err := runPair(ctx, pair, opt)
-			if err != nil {
-				return Characteristics{}, err
-			}
-			return *c, nil
-		}
-		tasks[i] = t
-	}
-	span := opt.Trace.Start("campaign").
-		SetAttr("pairs", len(pairs)).
-		SetAttr("machine", opt.Machine.Name).
-		SetAttr("instructions", opt.Instructions).
-		SetAttr("sampling", opt.Sampling.String()).
-		SetAttr("fidelity", opt.Fidelity.String())
-	defer span.Finish()
-	return sched.Run(opt.Context, tasks, sched.Options{
-		Workers:  opt.Parallelism,
-		Cache:    opt.Cache,
-		Progress: opt.Progress,
-		Span:     span,
-	})
+	return res[0], nil
 }
 
 // runPair is the campaign's per-pair entry point; tests swap it to

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 
@@ -20,77 +19,77 @@ const maxSiblings = 8
 // and, if so, the key that groups them: campaigns with equal keys
 // differ at most in the machine's name and L3 associativity, so every
 // level above the L3 sees the same stream (machine.Config.WaysFamily).
-// Only the exact single-stream tier shares. Sampled windows, analytic
-// predictions, intra-pair windows and rate or topology scenarios run
-// per cell.
 func FamilyKey(opt Options) (string, bool) {
 	opt = opt.withDefaults()
-	if opt.Fidelity != machine.FidelityExact || opt.IntraPairWorkers > 1 ||
-		opt.RateCopies > 0 || opt.Topology.Enabled() {
+	if !sharesPasses(&opt) {
 		return "", false
 	}
-	return fmt.Sprintf("%s|n=%d|mux=%d", opt.Machine.WaysFamily(), opt.Instructions, opt.MultiplexSlots), true
+	return keyHead(opt.Machine.WaysFamily(), &opt), true
+}
+
+// sharesPasses reports whether opt runs on the exact single-stream
+// tier, the only one whose pass siblings can share. Sampled windows,
+// analytic predictions, intra-pair windows and rate or topology
+// scenarios run per cell.
+func sharesPasses(opt *Options) bool {
+	return opt.Fidelity == machine.FidelityExact && opt.IntraPairWorkers <= 1 &&
+		opt.RateCopies == 0 && !opt.Topology.Enabled()
 }
 
 // Sibling is one member of a shared-pass family: a label that names it
-// in traces and errors, and its campaign options.
+// in traces and the machine it runs on.
 type Sibling struct {
 	Label   string
-	Options Options
+	Machine machine.Config
 }
 
-// CharacterizeFamily characterizes pairs under every sibling's options
-// in one campaign and returns each sibling's results, in sibling order.
-// The siblings must share one FamilyKey. For each pair, one stream pass
-// (machine.RunFamily) simulates up to maxSiblings siblings at once.
+// CharacterizeFamily characterizes pairs on every sibling's machine
+// under the campaign options opt and returns each sibling's results, in
+// sibling order. Characterize is its one-sibling case. On the tier that
+// shares passes (FamilyKey), the siblings' machines must differ only in
+// name and L3 associativity, and one stream pass (machine.RunFamily)
+// simulates up to maxSiblings of them at once.
 //
-// Every (sibling, pair) cell is still its own campaign task. It is
-// keyed, served from and written to the cache tiers, traced and counted
-// under its own key, exactly as Characterize would under that sibling's
-// options. The first cell of a pass's group to miss every cache tier
-// runs the pass for itself and the siblings after it. Its pair span
-// holds the stage spans; the other cells' pair spans carry
-// shared_pass=<its label>. Tasks are queued sibling by sibling, so
-// workers pick up different pairs' passes instead of waiting on one.
-//
-// The campaign-wide options (Parallelism, Cache, Store, Progress, Trace,
-// Context, BatchSize) come from the first sibling.
-func CharacterizeFamily(pairs []profile.Pair, sibs []Sibling) ([][]Characteristics, error) {
+// Every (sibling, pair) cell is its own campaign task. It is keyed,
+// served from and written to the cache tiers, traced and counted under
+// its own key, exactly as Characterize would on that sibling's machine.
+// The first cell of a pass's group to miss every cache tier runs the
+// pass for the whole group. Its pair span holds the stage spans; the
+// other cells' pair spans carry shared_pass=<its label>. Tasks are
+// queued sibling by sibling, so workers pick up different pairs' passes
+// instead of waiting on one.
+func CharacterizeFamily(pairs []profile.Pair, opt Options, sibs []Sibling) ([][]Characteristics, error) {
 	if len(sibs) == 0 {
 		return nil, nil
 	}
-	opts := make([]Options, len(sibs))
-	labels := make([]string, len(sibs))
-	var key string
-	for i, s := range sibs {
-		opts[i], labels[i] = s.Options.withDefaults(), s.Label
-		k, ok := FamilyKey(opts[i])
-		if !ok {
-			return nil, fmt.Errorf("core: sibling %q runs the %s scenario, which cannot share stream passes", s.Label, opts[i].Scenario())
-		}
-		if i == 0 {
-			key = k
-		} else if k != key {
-			return nil, fmt.Errorf("core: sibling %q differs from %q beyond L3 ways", s.Label, sibs[0].Label)
-		}
+	opt = opt.withDefaults()
+	if err := validateFidelity(&opt); err != nil {
+		return nil, err
 	}
-	opt := opts[0]
 	if opt.Store != nil {
 		if opt.Cache == nil {
 			opt.Cache = sched.NewCache()
 		}
 		opt.Cache.SetBackend(opt.Store, CharacteristicsCodec{})
 	}
-	for i := range opts {
-		opts[i].BatchSize = opt.BatchSize
+	opts := make([]Options, len(sibs))
+	labels := make([]string, len(sibs))
+	for i, s := range sibs {
+		o := opt
+		o.Machine = s.Machine
+		opts[i], labels[i] = o.withDefaults(), s.Label
 	}
 
-	// passes[g][j] is pair j's pass over sibling group g.
+	// passes[g][j] is pair j's pass over sibling group g; nil where the
+	// group's members run alone.
 	groups := (len(sibs) + maxSiblings - 1) / maxSiblings
 	passes := make([][]*sharedPass, groups)
 	for g := range passes {
 		lo := g * maxSiblings
 		hi := min(lo+maxSiblings, len(sibs))
+		if hi-lo < 2 || !sharesPasses(&opt) {
+			continue
+		}
 		passes[g] = make([]*sharedPass, len(pairs))
 		for j := range pairs {
 			passes[g][j] = &sharedPass{pair: pairs[j], labels: labels[lo:hi], opts: opts[lo:hi]}
@@ -98,29 +97,41 @@ func CharacterizeFamily(pairs []profile.Pair, sibs []Sibling) ([][]Characteristi
 	}
 	tasks := make([]sched.Task[Characteristics], 0, len(sibs)*len(pairs))
 	for i := range sibs {
+		o := &opts[i]
 		prefix := ""
 		if opt.Cache != nil {
-			prefix = campaignKeyPrefix(&opts[i])
+			prefix = campaignKeyPrefix(o)
 		}
 		for j := range pairs {
-			pass, member := passes[i/maxSiblings][j], i%maxSiblings
-			t := sched.Task[Characteristics]{
-				Name: pairs[j].Name(),
-				Run:  func(ctx context.Context) (Characteristics, error) { return pass.result(ctx, member) },
-			}
+			pair := pairs[j]
+			t := sched.Task[Characteristics]{Name: pair.Name()}
 			if opt.Cache != nil {
-				t.Key = pairKey(prefix, &pairs[j])
+				t.Key = pairKey(prefix, &pair)
+			}
+			if g := passes[i/maxSiblings]; g != nil {
+				pass, member := g[j], i%maxSiblings
+				t.Run = func(ctx context.Context) (Characteristics, error) { return pass.result(ctx, member) }
+			} else {
+				t.Run = func(ctx context.Context) (Characteristics, error) {
+					c, err := runPair(ctx, pair, *o)
+					if err != nil {
+						return Characteristics{}, err
+					}
+					return *c, nil
+				}
 			}
 			tasks = append(tasks, t)
 		}
 	}
 	span := opt.Trace.Start("campaign").
 		SetAttr("pairs", len(pairs)).
-		SetAttr("machine", opt.Machine.Name).
+		SetAttr("machine", opts[0].Machine.Name).
 		SetAttr("instructions", opt.Instructions).
 		SetAttr("sampling", opt.Sampling.String()).
-		SetAttr("fidelity", opt.Fidelity.String()).
-		SetAttr("siblings", strings.Join(labels, ";"))
+		SetAttr("fidelity", opt.Fidelity.String())
+	if len(sibs) > 1 {
+		span.SetAttr("siblings", strings.Join(labels, ";"))
+	}
 	defer span.Finish()
 	flat, err := sched.Run(opt.Context, tasks, sched.Options{
 		Workers:  opt.Parallelism,
@@ -139,51 +150,43 @@ func CharacterizeFamily(pairs []profile.Pair, sibs []Sibling) ([][]Characteristi
 }
 
 // sharedPass is one pair's stream pass over a group of siblings. The
-// first member whose cell misses the cache runs it, covering itself and
-// every later member; an earlier member whose cell misses after the
-// pass has started runs alone.
+// first member whose cell misses the cache runs it over the whole
+// group; every other member that misses waits for it.
 type sharedPass struct {
 	pair   profile.Pair
 	labels []string
 	opts   []Options
 
-	mu   sync.Mutex
-	from int           // first member the pass covers
-	done chan struct{} // nil until the pass starts, closed when it ends
-	res  []*Characteristics
-	err  error
+	mu     sync.Mutex
+	runner int           // the member running the pass
+	done   chan struct{} // nil until the pass starts, closed when it ends
+	res    []*Characteristics
+	err    error
 }
 
 // result returns member i's cell.
 func (p *sharedPass) result(ctx context.Context, i int) (Characteristics, error) {
 	p.mu.Lock()
-	if p.done == nil {
-		p.done, p.from = make(chan struct{}), i
-		p.mu.Unlock()
-		p.res, p.err = characterizePass(ctx, p.pair, p.opts[i:])
-		close(p.done)
-		if p.err != nil {
-			return Characteristics{}, p.err
-		}
-		return *p.res[0], nil
+	first := p.done == nil
+	if first {
+		p.done, p.runner = make(chan struct{}), i
 	}
-	from := p.from
 	p.mu.Unlock()
-	if i < from {
-		res, err := characterizePass(ctx, p.pair, p.opts[i:i+1])
-		if err != nil {
-			return Characteristics{}, err
+	if first {
+		p.res, p.err = characterizePass(ctx, p.pair, p.opts)
+		close(p.done)
+	} else {
+		select {
+		case <-p.done:
+		case <-ctx.Done():
+			return Characteristics{}, ctx.Err()
 		}
-		return *res[0], nil
-	}
-	select {
-	case <-p.done:
-	case <-ctx.Done():
-		return Characteristics{}, ctx.Err()
+		if p.err == nil {
+			obs.SpanFromContext(ctx).SetAttr("shared_pass", p.labels[p.runner])
+		}
 	}
 	if p.err != nil {
 		return Characteristics{}, p.err
 	}
-	obs.SpanFromContext(ctx).SetAttr("shared_pass", p.labels[from])
-	return *p.res[i-from], nil
+	return *p.res[i], nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -31,32 +33,32 @@ func familyPairs(t *testing.T, names ...string) []profile.Pair {
 
 // waysSiblings builds one sibling per L3 associativity over the machine
 // mk returns; mk is called per sibling so no two share a component.
-func waysSiblings(mk func() machine.Config, ways []int, opt Options) []Sibling {
+func waysSiblings(mk func() machine.Config, ways []int) []Sibling {
 	sibs := make([]Sibling, len(ways))
 	for i, w := range ways {
 		cfg := mk()
 		cfg.Hierarchy.L3.Ways = w
 		label := fmt.Sprintf("l3.size=%d,l3.ways=%d", cfg.Hierarchy.L3.SizeBytes, w)
 		cfg.Name += "@" + label
-		o := opt
-		o.Machine = cfg
-		sibs[i] = Sibling{Label: label, Options: o}
+		sibs[i] = Sibling{Label: label, Machine: cfg}
 	}
 	return sibs
 }
 
-// checkFamily runs sibs as one family and each sibling's options alone
-// (on a fresh machine from mk), and requires every cell to encode
-// byte-identically.
+// checkFamily runs the siblings as one family and each sibling's
+// machine alone (a fresh one from mk), and requires every cell to
+// encode byte-identically.
 func checkFamily(t *testing.T, pairs []profile.Pair, mk func() machine.Config, ways []int, opt Options) {
 	t.Helper()
-	got, err := CharacterizeFamily(pairs, waysSiblings(mk, ways, opt))
+	got, err := CharacterizeFamily(pairs, opt, waysSiblings(mk, ways))
 	if err != nil {
 		t.Fatal(err)
 	}
 	codec := CharacteristicsCodec{}
-	for i, s := range waysSiblings(mk, ways, opt) {
-		want, err := Characterize(pairs, s.Options)
+	for i, s := range waysSiblings(mk, ways) {
+		o := opt
+		o.Machine = s.Machine
+		want, err := Characterize(pairs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,31 +150,61 @@ func TestFamilyBeyondCap(t *testing.T) {
 	checkFamily(t, pairs, machine.HaswellScaled, ways, Options{Instructions: 20000, Parallelism: 2})
 }
 
-// TestFamilyRejects: options core cannot share a pass over are refused
-// rather than silently run per cell.
-func TestFamilyRejects(t *testing.T) {
-	pairs := familyPairs(t, "505.mcf_r")
-	base := Options{Instructions: 20000}
+// TestFamilyPerCell: on the tiers that cannot share a pass, and for a
+// sibling group of one, every cell runs alone through runPair; on the
+// exact tier a family of two never does.
+func TestFamilyPerCell(t *testing.T) {
+	pairs := fakePairs(3)
+	var calls atomic.Int64
+	stubRunPair(t, func(_ context.Context, pair profile.Pair, _ Options) (*Characteristics, error) {
+		calls.Add(1)
+		return &Characteristics{Pair: pair}, nil
+	})
+	base := Options{Instructions: 20000, Parallelism: 2}
 	cases := map[string]func(*Options){
 		"sampled":  func(o *Options) { o.Fidelity = machine.FidelitySampled },
 		"analytic": func(o *Options) { o.Fidelity = machine.FidelityAnalytic },
 		"rate":     func(o *Options) { o.RateCopies = 2 },
 		"j-pair":   func(o *Options) { o.IntraPairWorkers = 2 },
 	}
+	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16})
 	for name, mutate := range cases {
 		o := base
 		mutate(&o)
 		if _, ok := FamilyKey(o); ok {
 			t.Errorf("%s: FamilyKey allowed sharing", name)
 		}
-		if _, err := CharacterizeFamily(pairs, waysSiblings(machine.HaswellScaled, []int{8, 16}, o)); err == nil {
-			t.Errorf("%s: family accepted", name)
+		calls.Store(0)
+		if _, err := CharacterizeFamily(pairs, o, sibs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := calls.Load(); n != int64(len(sibs)*len(pairs)) {
+			t.Errorf("%s: %d cells ran alone, want %d", name, n, len(sibs)*len(pairs))
 		}
 	}
-	// Siblings must differ in L3 ways alone.
-	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16}, base)
-	sibs[1].Options.Machine.Hierarchy.L3.SizeBytes = 1 << 20
-	if _, err := CharacterizeFamily(pairs, sibs); err == nil || !strings.Contains(err.Error(), "beyond L3 ways") {
+	calls.Store(0)
+	if _, err := CharacterizeFamily(pairs, base, sibs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != int64(len(pairs)) {
+		t.Errorf("one sibling: %d cells ran alone, want %d", n, len(pairs))
+	}
+	calls.Store(0)
+	if _, err := CharacterizeFamily(fakePairs(1), base, sibs); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("exact family: %d cells ran alone, want 0", n)
+	}
+}
+
+// TestFamilyMismatch: a shared pass over machines that differ beyond
+// L3 ways is refused.
+func TestFamilyMismatch(t *testing.T) {
+	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16})
+	sibs[1].Machine.Hierarchy.L3.SizeBytes = 1 << 20
+	_, err := CharacterizeFamily(familyPairs(t, "505.mcf_r"), Options{Instructions: 20000}, sibs)
+	if err == nil || !strings.Contains(err.Error(), "beyond L3 ways") {
 		t.Errorf("size-mismatched family error = %v", err)
 	}
 }
@@ -184,8 +216,8 @@ func TestFamilyTrace(t *testing.T) {
 	pairs := familyPairs(t, "505.mcf_r", "519.lbm_r")
 	tr := obs.NewTrace()
 	opt := Options{Instructions: 20000, Parallelism: 1, Trace: tr}
-	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16}, opt)
-	if _, err := CharacterizeFamily(pairs, sibs); err != nil {
+	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16})
+	if _, err := CharacterizeFamily(pairs, opt, sibs); err != nil {
 		t.Fatal(err)
 	}
 	b, err := tr.Manifest()

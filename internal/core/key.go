@@ -29,8 +29,7 @@ import (
 // model revision invalidates stored predictions instead of serving
 // stale ones.
 func campaignKeyPrefix(opt *Options) string {
-	key := fmt.Sprintf("%s|n=%d|mux=%d", opt.Machine.Fingerprint(),
-		opt.Instructions, opt.MultiplexSlots)
+	key := keyHead(opt.Machine.Fingerprint(), opt)
 	if opt.Sampling.Enabled() {
 		key += fmt.Sprintf("|sampling=%d/%d/%d",
 			opt.Sampling.Period, opt.Sampling.DetailLen, opt.Sampling.WarmupLen)
@@ -62,6 +61,12 @@ func campaignKeyPrefix(opt *Options) string {
 		key += fmt.Sprintf("|topo=%s-v1", opt.Topology)
 	}
 	return key
+}
+
+// keyHead joins a machine fingerprint with the run length and
+// multiplexing knob, the head of every campaign key and family key.
+func keyHead(fingerprint string, opt *Options) string {
+	return fmt.Sprintf("%s|n=%d|mux=%d", fingerprint, opt.Instructions, opt.MultiplexSlots)
 }
 
 // CampaignKeys returns each pair's result-cache content key under the

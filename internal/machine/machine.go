@@ -337,8 +337,10 @@ func RunFamily(cfgs []Config, src trace.Source, opt Options) ([]*Result, error) 
 	}
 	var times stageTimes
 	s := newStream(cfg, nil, src, batchBuf(opt), opt, &times)
-	for _, c := range cfgs[1:] {
-		s.c.hier.AddSibling(cache.New(c.Hierarchy.L3))
+	sibs := make([]*cache.Cache, len(cfgs)-1)
+	for i, c := range cfgs[1:] {
+		sibs[i] = cache.New(c.Hierarchy.L3)
+		s.c.hier.AddSibling(sibs[i])
 	}
 	if warm := warmupLength(opt); warm > 0 {
 		if err := s.warmup(warm); err != nil {
@@ -361,7 +363,6 @@ func RunFamily(cfgs []Config, src trace.Source, opt Options) ([]*Result, error) 
 	times.record(opt.Span, stageSimulate)
 	// The warmup cleared every statistic, the siblings' included, so
 	// their demand hits cover exactly the counted window.
-	sibs := s.c.hier.Siblings()
 	out := make([]*Result, len(cfgs))
 	for i, c := range cfgs {
 		cs := snap

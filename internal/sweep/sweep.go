@@ -670,10 +670,11 @@ func (e *engine) runGroup(ctx context.Context, g []int, tier machine.Fidelity, p
 	}
 	sibs := make([]core.Sibling, len(g))
 	for k, i := range g {
-		sibs[k] = core.Sibling{Label: e.points[i].Label, Options: e.tierOptions(ctx, e.points[i], tier)}
+		sibs[k] = core.Sibling{Label: e.points[i].Label, Machine: e.points[i].Config}
 	}
-	sibs[0].Options.Progress = progress
-	chars, err := core.CharacterizeFamily(e.spec.Pairs, sibs)
+	opt := e.tierOptions(ctx, e.points[g[0]], tier)
+	opt.Progress = progress
+	chars, err := core.CharacterizeFamily(e.spec.Pairs, opt, sibs)
 	return chars, last, err
 }
 
