@@ -84,10 +84,11 @@ race-fanout:
 # real worker pools at K in {2,3,4,8} (short stream lengths under
 # -short keep it fast), and the pinned-result test holds every windowed
 # run path (sampled, parallel, shared, scenario, threaded) to its
-# committed result digests. The shared-pass family tests run l3.ways
-# siblings at Parallelism 2, where workers run different pairs' passes
-# and wait on each other's.
+# committed result digests. The shared-pass family tests run l2.ways x
+# l3.ways siblings at Parallelism 2, where workers run different pairs'
+# passes and wait on each other's, and machine's family tests drive the
+# sibling lower stacks of one pass.
 race-kernel:
-	$(GO) test -race -short -run='^TestParallel|^TestPinnedResults$$|^TestFamily|^TestSweepFamily' -count=1 ./internal/machine ./internal/core ./internal/sweep
+	$(GO) test -race -short -run='^TestParallel|^TestPinnedResults$$|^TestFamily|^TestSweepFamily|^TestRunFamily' -count=1 ./internal/machine ./internal/core ./internal/sweep
 
 ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel

@@ -122,13 +122,19 @@ func run(ctx context.Context, cfg config) error {
 	return nil
 }
 
-// runLocal sweeps in-process on top of the shared campaign flags
-// (cache-dir store tier, sampling knob for the sampled tier, -j).
+// runLocal sweeps the suite's pairs in-process.
 func runLocal(ctx context.Context, cfg config, metrics []string) (*sweep.Result, error) {
 	pairs, err := resolvePairs(cfg.suite, cfg.mini, cfg.size)
 	if err != nil {
 		return nil, err
 	}
+	return sweepPairs(ctx, cfg, pairs, metrics)
+}
+
+// sweepPairs sweeps pairs in-process on top of the shared campaign
+// flags (cache-dir store tier, sampling knob for the sampled tier, -j).
+func sweepPairs(ctx context.Context, cfg config, pairs []profile.Pair, metrics []string) (*sweep.Result, error) {
+	var err error
 	spec := sweep.Spec{
 		Axes:      []sweep.Axis(cfg.axes),
 		Pairs:     pairs,

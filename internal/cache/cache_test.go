@@ -401,7 +401,7 @@ func TestHierarchySiblingSeesL3Stream(t *testing.T) {
 	cfg.Prefetcher = &NextLinePrefetcher{LineBytes: 64, Degree: 1}
 	h := NewHierarchy(cfg)
 	sib := New(cfg.L3)
-	h.AddSibling(sib)
+	h.AddSibling(nil, sib)
 	rng := xrand.NewPCG32(5)
 	for i := 0; i < 4000; i++ {
 		kind := AccessLoad

@@ -85,9 +85,16 @@ type Hierarchy struct {
 	l1i, l1d, l2 *Cache
 	l3           *Cache
 	pf           Prefetcher
-	// siblings are alternative last levels fed the same L2 miss stream
-	// as l3 (see AddSibling); they never affect the reported hit level.
-	siblings []*Cache
+	// lower are the sibling lower stacks (see AddSibling), fed the same
+	// L1 miss stream as l2; they never affect the reported hit level.
+	lower []lowerStack
+}
+
+// lowerStack is one L2 of a hierarchy's siblings with the last levels
+// under it. A nil l2 stands for the hierarchy's own L2.
+type lowerStack struct {
+	l2  *Cache
+	l3s []*Cache
 }
 
 // NewHierarchy builds a hierarchy with a private L3.
@@ -121,33 +128,54 @@ func freshPrefetcher(pf Prefetcher) Prefetcher {
 	return pf
 }
 
-// AddSibling attaches a sibling last level: a private cache that sees
-// exactly the accesses the L3 sees — every L2 demand miss, L2 prefetch
-// miss and (on the unified code path) L2 fetch miss — while the L3
-// alone decides the hit level the hierarchy reports. Nothing above the
-// L3 depends on its outcome in a private hierarchy, so a sibling ends a
+// AddSibling attaches a sibling lower stack: the last level l3 under
+// the L2 l2, where a nil l2 (or the hierarchy's own) means the
+// hierarchy's own L2. A sibling L2 sees exactly the accesses the L2
+// sees — every L1D demand miss, prefetch fill and (on the unified code
+// path) L1I miss — and each of its misses reaches the last levels under
+// it, as each miss of the own L2 reaches l3 and the siblings under it.
+// Siblings passing the same l2 share it. The own L2 and L3 alone decide
+// the hit level the hierarchy reports, and nothing above the L2 depends
+// on its outcome in a private hierarchy, so every sibling cache ends a
 // run in exactly the state, with exactly the statistics, it would have
-// as this hierarchy's L3. A run over several siblings measures several
-// last-level configurations in one pass. Siblings are reset with the
-// hierarchy. A shared L3's back-invalidations reach the private levels,
-// so siblings are meant for private hierarchies only.
-func (h *Hierarchy) AddSibling(c *Cache) { h.siblings = append(h.siblings, c) }
-
-// lastLevel sends an L2 miss to the L3 and every sibling through the
-// reference Access path and reports whether the L3 hit.
-func (h *Hierarchy) lastLevel(addr uint64, kind AccessKind) bool {
-	for _, s := range h.siblings {
-		s.Access(addr, kind)
+// at its level of a hierarchy of its own. A run over several siblings
+// thus measures several L2/L3 configurations in one pass. Sibling
+// caches are driven through AccessHot on every path (its transitions
+// equal Access's) and are reset with the hierarchy. A shared L3's
+// back-invalidations reach the private levels, so siblings are meant
+// for private hierarchies only.
+func (h *Hierarchy) AddSibling(l2, l3 *Cache) {
+	if l2 == h.l2 {
+		l2 = nil
 	}
-	return h.l3.Access(addr, kind)
+	for i := range h.lower {
+		if h.lower[i].l2 == l2 {
+			h.lower[i].l3s = append(h.lower[i].l3s, l3)
+			return
+		}
+	}
+	h.lower = append(h.lower, lowerStack{l2: l2, l3s: []*Cache{l3}})
 }
 
-// lastLevelHot is lastLevel through AccessHot.
-func (h *Hierarchy) lastLevelHot(addr uint64, kind AccessKind) bool {
-	for _, s := range h.siblings {
-		s.AccessHot(addr, kind)
+// fanOut sends an access that missed the L1 to every sibling lower
+// stack; l2miss reports whether it missed the hierarchy's own L2, whose
+// sibling last levels see it only then. The walks call it only when
+// siblings are attached, so a hierarchy without them pays one
+// predictable branch per L1 miss.
+func (h *Hierarchy) fanOut(addr uint64, kind AccessKind, l2miss bool) {
+	for i := range h.lower {
+		st := &h.lower[i]
+		miss := l2miss
+		if st.l2 != nil {
+			miss = !st.l2.AccessHot(addr, kind)
+		}
+		if !miss {
+			continue
+		}
+		for _, c := range st.l3s {
+			c.AccessHot(addr, kind)
+		}
 	}
-	return h.l3.AccessHot(addr, kind)
 }
 
 // Cache returns the cache at the given level of the data path (L1 returns
@@ -173,13 +201,17 @@ func (h *Hierarchy) Fetch(pc uint64) HitLevel {
 	if h.l1i.Access(pc, AccessFetch) {
 		return HitL1
 	}
-	if h.l2.Access(pc, AccessFetch) {
-		return HitL2
+	level := HitMemory
+	switch {
+	case h.l2.Access(pc, AccessFetch):
+		level = HitL2
+	case h.l3.Access(pc, AccessFetch):
+		level = HitL3
 	}
-	if h.lastLevel(pc, AccessFetch) {
-		return HitL3
+	if h.lower != nil {
+		h.fanOut(pc, AccessFetch, level != HitL2)
 	}
-	return HitMemory
+	return level
 }
 
 // Data performs a demand data access (load or store, per kind) and reports
@@ -187,19 +219,27 @@ func (h *Hierarchy) Fetch(pc uint64) HitLevel {
 // level (inclusive behaviour). When a prefetcher is attached, it observes
 // L1 misses and issues prefetch fills into L2/L3.
 func (h *Hierarchy) Data(addr uint64, kind AccessKind) HitLevel {
+	if h.l1d.Access(addr, kind) {
+		return HitL1
+	}
 	level := HitMemory
 	switch {
-	case h.l1d.Access(addr, kind):
-		level = HitL1
 	case h.l2.Access(addr, kind):
 		level = HitL2
-	case h.lastLevel(addr, kind):
+	case h.l3.Access(addr, kind):
 		level = HitL3
 	}
-	if level != HitL1 && h.pf != nil {
+	if h.lower != nil {
+		h.fanOut(addr, kind, level != HitL2)
+	}
+	if h.pf != nil {
 		for _, p := range h.pf.Observe(addr) {
-			if !h.l2.Access(p, AccessPrefetch) {
-				h.lastLevel(p, AccessPrefetch)
+			miss := !h.l2.Access(p, AccessPrefetch)
+			if miss {
+				h.l3.Access(p, AccessPrefetch)
+			}
+			if h.lower != nil {
+				h.fanOut(p, AccessPrefetch, miss)
 			}
 		}
 	}
@@ -214,36 +254,27 @@ func (h *Hierarchy) FetchHot(pc uint64) HitLevel {
 	if h.l1i.FetchHot(pc) {
 		return HitL1
 	}
-	if h.l2.AccessHot(pc, AccessFetch) {
-		return HitL2
+	level := HitMemory
+	switch {
+	case h.l2.AccessHot(pc, AccessFetch):
+		level = HitL2
+	case h.l3.AccessHot(pc, AccessFetch):
+		level = HitL3
 	}
-	if h.lastLevelHot(pc, AccessFetch) {
-		return HitL3
+	if h.lower != nil {
+		h.fanOut(pc, AccessFetch, level != HitL2)
 	}
-	return HitMemory
+	return level
 }
 
 // DataHot is Data through the batched-kernel fast path (AccessHot at
 // every level, including prefetch fills). State transitions and
 // statistics are bit-identical to Data.
 func (h *Hierarchy) DataHot(addr uint64, kind AccessKind) HitLevel {
-	level := HitMemory
-	switch {
-	case h.l1d.DemandHot(addr, kind):
-		level = HitL1
-	case h.l2.AccessHot(addr, kind):
-		level = HitL2
-	case h.lastLevelHot(addr, kind):
-		level = HitL3
+	if h.l1d.DemandHot(addr, kind) {
+		return HitL1
 	}
-	if level != HitL1 && h.pf != nil {
-		for _, p := range h.pf.Observe(addr) {
-			if !h.l2.AccessHot(p, AccessPrefetch) {
-				h.lastLevelHot(p, AccessPrefetch)
-			}
-		}
-	}
-	return level
+	return h.DataHotMiss(addr, kind)
 }
 
 // DataHotMiss completes a demand access that the caller already probed
@@ -256,13 +287,20 @@ func (h *Hierarchy) DataHotMiss(addr uint64, kind AccessKind) HitLevel {
 	switch {
 	case h.l2.AccessHot(addr, kind):
 		level = HitL2
-	case h.lastLevelHot(addr, kind):
+	case h.l3.AccessHot(addr, kind):
 		level = HitL3
+	}
+	if h.lower != nil {
+		h.fanOut(addr, kind, level != HitL2)
 	}
 	if h.pf != nil {
 		for _, p := range h.pf.Observe(addr) {
-			if !h.l2.AccessHot(p, AccessPrefetch) {
-				h.lastLevelHot(p, AccessPrefetch)
+			miss := !h.l2.AccessHot(p, AccessPrefetch)
+			if miss {
+				h.l3.AccessHot(p, AccessPrefetch)
+			}
+			if h.lower != nil {
+				h.fanOut(p, AccessPrefetch, miss)
 			}
 		}
 	}
@@ -276,8 +314,18 @@ func (h *Hierarchy) Reset() {
 	h.l1d.Reset()
 	h.l2.Reset()
 	h.l3.Reset()
-	for _, s := range h.siblings {
-		s.Reset()
+	h.eachSibling((*Cache).Reset)
+}
+
+// eachSibling applies f to every sibling cache, each shared L2 once.
+func (h *Hierarchy) eachSibling(f func(*Cache)) {
+	for _, st := range h.lower {
+		if st.l2 != nil {
+			f(st.l2)
+		}
+		for _, c := range st.l3s {
+			f(c)
+		}
 	}
 }
 
@@ -363,7 +411,5 @@ func (h *Hierarchy) ResetStats() {
 	h.l1d.ResetStats()
 	h.l2.ResetStats()
 	h.l3.ResetStats()
-	for _, s := range h.siblings {
-		s.ResetStats()
-	}
+	h.eachSibling((*Cache).ResetStats)
 }

@@ -282,7 +282,7 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 // characterizePass simulates one pair's stream once and characterizes
 // it under each of opts, which hold normalized single-stream options.
 // More than one entry is a shared-pass family (CharacterizeFamily):
-// configurations that differ only in L3 ways, measured together by
+// configurations that differ only in L2 and L3 ways, measured together by
 // machine.RunFamily.
 func characterizePass(ctx context.Context, pair profile.Pair, opts []Options) ([]*Characteristics, error) {
 	opt := opts[0]

@@ -12,13 +12,15 @@ import (
 )
 
 // maxSiblings caps how many configurations share one stream pass. Each
-// sibling adds a full L3 to the pass, so the cap bounds its memory.
+// sibling adds up to a full L2 and a full L3 to the pass, so the cap
+// bounds its memory.
 const maxSiblings = 8
 
 // FamilyKey reports whether campaigns under opt can share stream passes
 // and, if so, the key that groups them: campaigns with equal keys
-// differ at most in the machine's name and L3 associativity, so every
-// level above the L3 sees the same stream (machine.Config.WaysFamily).
+// differ at most in the machine's name and L2 and L3 associativity, so
+// every level above the L2 sees the same stream
+// (machine.Config.WaysFamily).
 func FamilyKey(opt Options) (string, bool) {
 	opt = opt.withDefaults()
 	if !sharesPasses(&opt) {
@@ -47,8 +49,8 @@ type Sibling struct {
 // under the campaign options opt and returns each sibling's results, in
 // sibling order. Characterize is its one-sibling case. On the tier that
 // shares passes (FamilyKey), the siblings' machines must differ only in
-// name and L3 associativity, and one stream pass (machine.RunFamily)
-// simulates up to maxSiblings of them at once.
+// name and L2 and L3 associativity, and one stream pass
+// (machine.RunFamily) simulates up to maxSiblings of them at once.
 //
 // Every (sibling, pair) cell is its own campaign task. It is keyed,
 // served from and written to the cache tiers, traced and counted under

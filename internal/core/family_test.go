@@ -31,14 +31,29 @@ func familyPairs(t *testing.T, names ...string) []profile.Pair {
 	return pairs
 }
 
-// waysSiblings builds one sibling per L3 associativity over the machine
-// mk returns; mk is called per sibling so no two share a component.
-func waysSiblings(mk func() machine.Config, ways []int) []Sibling {
-	sibs := make([]Sibling, len(ways))
-	for i, w := range ways {
+// ways is one sibling's L2 and L3 associativity.
+type ways struct{ l2, l3 int }
+
+// waysGrid returns the l2 x l3 associativity grid, L2 outermost.
+func waysGrid(l2, l3 []int) []ways {
+	var grid []ways
+	for _, a := range l2 {
+		for _, b := range l3 {
+			grid = append(grid, ways{a, b})
+		}
+	}
+	return grid
+}
+
+// waysSiblings builds one sibling per grid point over the machine mk
+// returns; mk is called per sibling so no two share a component.
+func waysSiblings(mk func() machine.Config, grid []ways) []Sibling {
+	sibs := make([]Sibling, len(grid))
+	for i, w := range grid {
 		cfg := mk()
-		cfg.Hierarchy.L3.Ways = w
-		label := fmt.Sprintf("l3.size=%d,l3.ways=%d", cfg.Hierarchy.L3.SizeBytes, w)
+		cfg.Hierarchy.L2.Ways = w.l2
+		cfg.Hierarchy.L3.Ways = w.l3
+		label := fmt.Sprintf("l3.size=%d,l2.ways=%d,l3.ways=%d", cfg.Hierarchy.L3.SizeBytes, w.l2, w.l3)
 		cfg.Name += "@" + label
 		sibs[i] = Sibling{Label: label, Machine: cfg}
 	}
@@ -48,14 +63,14 @@ func waysSiblings(mk func() machine.Config, ways []int) []Sibling {
 // checkFamily runs the siblings as one family and each sibling's
 // machine alone (a fresh one from mk), and requires every cell to
 // encode byte-identically.
-func checkFamily(t *testing.T, pairs []profile.Pair, mk func() machine.Config, ways []int, opt Options) {
+func checkFamily(t *testing.T, pairs []profile.Pair, mk func() machine.Config, grid []ways, opt Options) {
 	t.Helper()
-	got, err := CharacterizeFamily(pairs, opt, waysSiblings(mk, ways))
+	got, err := CharacterizeFamily(pairs, opt, waysSiblings(mk, grid))
 	if err != nil {
 		t.Fatal(err)
 	}
 	codec := CharacteristicsCodec{}
-	for i, s := range waysSiblings(mk, ways) {
+	for i, s := range waysSiblings(mk, grid) {
 		o := opt
 		o.Machine = s.Machine
 		want, err := Characterize(pairs, o)
@@ -79,13 +94,13 @@ func checkFamily(t *testing.T, pairs []profile.Pair, mk func() machine.Config, w
 	}
 }
 
-// TestFamilyMatchesStandalone: over an l3.ways x l3.size grid, every
-// cell a shared pass produces is byte-identical to characterizing that
-// point's configuration alone. The calibrated models' L3 outcomes do
-// not depend on associativity (their pools map contiguously onto the
-// sets), so this pins the cell plumbing; machine's
-// TestRunFamilyMatchesRun shows the siblings exact on a stream where
-// the ways do move the L3.
+// TestFamilyMatchesStandalone: over an l2.ways x l3.ways x l3.size
+// grid, every cell a shared pass produces is byte-identical to
+// characterizing that point's configuration alone. The calibrated
+// models' L2 and L3 outcomes do not depend on associativity (their
+// pools map contiguously onto the sets), so this pins the cell plumbing;
+// machine's TestRunFamilyMatchesRun shows the siblings exact on a
+// stream where the ways do move the L2 and the L3.
 func TestFamilyMatchesStandalone(t *testing.T) {
 	pairs := familyPairs(t, "505.mcf_r", "519.lbm_r", "541.leela_r", "508.namd_r")
 	for _, size := range []int{1 << 20, 2 << 20} {
@@ -94,29 +109,30 @@ func TestFamilyMatchesStandalone(t *testing.T) {
 			cfg.Hierarchy.L3.SizeBytes = size
 			return cfg
 		}
-		checkFamily(t, pairs, mk, []int{4, 8, 16}, Options{Instructions: 40000, Parallelism: 2})
+		checkFamily(t, pairs, mk, waysGrid([]int{8, 4}, []int{4, 8, 16}), Options{Instructions: 40000, Parallelism: 2})
 	}
 }
 
 // TestFamilyMatchesStandalonePolicies: the pass is exact under every
-// L3 replacement policy, not only the stack policies.
+// L2 and L3 replacement policy, not only the stack policies.
 func TestFamilyMatchesStandalonePolicies(t *testing.T) {
 	pairs := familyPairs(t, "505.mcf_r", "519.lbm_r")
 	for _, pol := range cache.Policies() {
 		t.Run(pol.Name(), func(t *testing.T) {
 			mk := func() machine.Config {
 				cfg := machine.HaswellScaled()
+				cfg.Hierarchy.L2.Policy = pol
 				cfg.Hierarchy.L3.Policy = pol
 				return cfg
 			}
-			checkFamily(t, pairs, mk, []int{8, 16}, Options{Instructions: 30000, Parallelism: 1})
+			checkFamily(t, pairs, mk, waysGrid([]int{8, 4}, []int{8, 16}), Options{Instructions: 30000, Parallelism: 1})
 		})
 	}
 }
 
 // TestFamilyMatchesStandaloneMachines: the unified code path (fetch
-// misses reach the L3) and both prefetchers (prefetch fills reach the
-// L3) keep the pass exact.
+// misses reach the L2 and L3) and both prefetchers (prefetch fills
+// reach the L2 and L3) keep the pass exact.
 func TestFamilyMatchesStandaloneMachines(t *testing.T) {
 	pairs := familyPairs(t, "505.mcf_r", "519.lbm_r")
 	machines := map[string]func() machine.Config{
@@ -134,20 +150,21 @@ func TestFamilyMatchesStandaloneMachines(t *testing.T) {
 	}
 	for name, mk := range machines {
 		t.Run(name, func(t *testing.T) {
-			checkFamily(t, pairs, mk, []int{8, 16}, Options{Instructions: 30000, Parallelism: 2})
+			checkFamily(t, pairs, mk, waysGrid([]int{8, 4}, []int{8, 16}), Options{Instructions: 30000, Parallelism: 2})
 		})
 	}
 }
 
 // TestFamilyBeyondCap: a family larger than maxSiblings splits into
-// several passes and stays exact.
+// several passes and stays exact, also where a pass's first sibling
+// has a non-default L2.
 func TestFamilyBeyondCap(t *testing.T) {
 	pairs := familyPairs(t, "505.mcf_r")
-	ways := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	if len(ways) <= maxSiblings {
-		t.Fatalf("%d siblings do not exceed the cap of %d", len(ways), maxSiblings)
+	grid := waysGrid([]int{8, 4}, []int{2, 4, 8, 16, 32})
+	if len(grid) <= maxSiblings {
+		t.Fatalf("%d siblings do not exceed the cap of %d", len(grid), maxSiblings)
 	}
-	checkFamily(t, pairs, machine.HaswellScaled, ways, Options{Instructions: 20000, Parallelism: 2})
+	checkFamily(t, pairs, machine.HaswellScaled, grid, Options{Instructions: 20000, Parallelism: 2})
 }
 
 // TestFamilyPerCell: on the tiers that cannot share a pass, and for a
@@ -167,7 +184,7 @@ func TestFamilyPerCell(t *testing.T) {
 		"rate":     func(o *Options) { o.RateCopies = 2 },
 		"j-pair":   func(o *Options) { o.IntraPairWorkers = 2 },
 	}
-	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16})
+	sibs := waysSiblings(machine.HaswellScaled, waysGrid([]int{8}, []int{8, 16}))
 	for name, mutate := range cases {
 		o := base
 		mutate(&o)
@@ -199,12 +216,12 @@ func TestFamilyPerCell(t *testing.T) {
 }
 
 // TestFamilyMismatch: a shared pass over machines that differ beyond
-// L3 ways is refused.
+// L2 and L3 ways is refused.
 func TestFamilyMismatch(t *testing.T) {
-	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16})
+	sibs := waysSiblings(machine.HaswellScaled, waysGrid([]int{8}, []int{8, 16}))
 	sibs[1].Machine.Hierarchy.L3.SizeBytes = 1 << 20
 	_, err := CharacterizeFamily(familyPairs(t, "505.mcf_r"), Options{Instructions: 20000}, sibs)
-	if err == nil || !strings.Contains(err.Error(), "beyond L3 ways") {
+	if err == nil || !strings.Contains(err.Error(), "beyond L2/L3 ways") {
 		t.Errorf("size-mismatched family error = %v", err)
 	}
 }
@@ -216,7 +233,7 @@ func TestFamilyTrace(t *testing.T) {
 	pairs := familyPairs(t, "505.mcf_r", "519.lbm_r")
 	tr := obs.NewTrace()
 	opt := Options{Instructions: 20000, Parallelism: 1, Trace: tr}
-	sibs := waysSiblings(machine.HaswellScaled, []int{8, 16})
+	sibs := waysSiblings(machine.HaswellScaled, waysGrid([]int{8}, []int{8, 16}))
 	if _, err := CharacterizeFamily(pairs, opt, sibs); err != nil {
 		t.Fatal(err)
 	}

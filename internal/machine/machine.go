@@ -160,11 +160,12 @@ func (c Config) Fingerprint() string {
 }
 
 // WaysFamily returns the configuration's fingerprint without its name
-// and L3 associativity. Configurations with equal WaysFamily see the
-// same uop stream (Geometry ignores ways) and behave identically above
-// the L3, so RunFamily can measure them in one pass.
+// and its L2 and L3 associativity. Configurations with equal WaysFamily
+// see the same uop stream (Geometry ignores ways) and behave
+// identically above the L2, so RunFamily can measure them in one pass.
 func (c Config) WaysFamily() string {
 	c.Name = ""
+	c.Hierarchy.L2.Ways = 0
 	c.Hierarchy.L3.Ways = 0
 	return c.Fingerprint()
 }
@@ -294,8 +295,8 @@ type Result struct {
 }
 
 // Run simulates one uop stream on the machine. The source must produce at
-// least the requested number of instructions. It is the one-L3 case of
-// RunFamily.
+// least the requested number of instructions. It is the one-configuration
+// case of RunFamily.
 func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
 	res, err := RunFamily([]Config{cfg}, src, opt)
 	if err != nil {
@@ -305,13 +306,16 @@ func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
 }
 
 // RunFamily simulates one uop stream once for a family of machines that
-// differ only in L3 associativity (equal WaysFamily) and returns one
-// Result per configuration, in order. Every level above the L3 runs
-// once; the L2's miss stream feeds one real L3 per configuration
-// (cache.Hierarchy.AddSibling), so each Result is bit-identical to Run
-// on that configuration alone, under every replacement policy. A
-// family of one is Run. Sampling re-tiles the stream per run and does
-// not compose with a family of more than one.
+// differ only in L2 and L3 associativity (equal WaysFamily) and returns
+// one Result per configuration, in order. Every level above the L2 runs
+// once. Each further configuration is a sibling lower stack
+// (cache.Hierarchy.AddSibling): a real L3 of its own, under the first
+// configuration's L2 when its L2 ways equal that one's, else under one
+// real sibling L2 per distinct L2 ways, fed the shared L1 miss stream.
+// So each Result is bit-identical to Run on that configuration alone,
+// under every replacement policy. A family of one is Run. Sampling
+// re-tiles the stream per run and does not compose with a family of
+// more than one.
 func RunFamily(cfgs []Config, src trace.Source, opt Options) ([]*Result, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("machine: empty configuration family")
@@ -331,16 +335,23 @@ func RunFamily(cfgs []Config, src trace.Source, opt Options) ([]*Result, error) 
 				return nil, err
 			}
 			if c.WaysFamily() != fam {
-				return nil, fmt.Errorf("machine: %q differs from %q beyond L3 ways", c.Name, cfg.Name)
+				return nil, fmt.Errorf("machine: %q differs from %q beyond L2/L3 ways", c.Name, cfg.Name)
 			}
 		}
 	}
 	var times stageTimes
 	s := newStream(cfg, nil, src, batchBuf(opt), opt, &times)
-	sibs := make([]*cache.Cache, len(cfgs)-1)
+	// l2s holds one L2 per associativity; the primary's own is nil.
+	sibs := make([]sibling, len(cfgs)-1)
+	l2s := map[int]*cache.Cache{cfg.Hierarchy.L2.Ways: nil}
 	for i, c := range cfgs[1:] {
-		sibs[i] = cache.New(c.Hierarchy.L3)
-		s.c.hier.AddSibling(sibs[i])
+		l2, ok := l2s[c.Hierarchy.L2.Ways]
+		if !ok {
+			l2 = cache.New(c.Hierarchy.L2)
+			l2s[c.Hierarchy.L2.Ways] = l2
+		}
+		sibs[i] = sibling{l2: l2, l3: cache.New(c.Hierarchy.L3)}
+		s.c.hier.AddSibling(l2, sibs[i].l3)
 	}
 	if warm := warmupLength(opt); warm > 0 {
 		if err := s.warmup(warm); err != nil {
@@ -367,7 +378,7 @@ func RunFamily(cfgs []Config, src trace.Source, opt Options) ([]*Result, error) 
 	for i, c := range cfgs {
 		cs := snap
 		if i > 0 {
-			cs = snap.withL3(sibs[i-1])
+			cs = snap.withLower(sibs[i-1])
 		}
 		res, err := s.c.finish(c, opt, cs)
 		if err != nil {
@@ -383,18 +394,40 @@ func RunFamily(cfgs []Config, src trace.Source, opt Options) ([]*Result, error) 
 	return out, nil
 }
 
-// withL3 returns the snapshot a run whose L3 was l3 would have
-// counted. Every load and store that reaches the L3 missed the shared
-// L2, so the L3-or-memory totals are the same for every sibling; only
-// their split moves, by l3's load and store demand hits.
-func (s counterSnap) withL3(l3 *cache.Cache) counterSnap {
-	loadHits, storeHits := l3.LoadStats().Hits, l3.StoreStats().Hits
-	loads := s.loadLevel[cache.HitL3] + s.loadLevel[cache.HitMemory]
-	s.loadLevel[cache.HitL3], s.loadLevel[cache.HitMemory] = loadHits, loads-loadHits
-	data := s.dataLevel[cache.HitL3] + s.dataLevel[cache.HitMemory]
-	s.dataLevel[cache.HitL3] = loadHits + storeHits
-	s.dataLevel[cache.HitMemory] = data - s.dataLevel[cache.HitL3]
+// sibling is one family member's caches below the shared L1s: its own
+// L3 and its L2, nil when it shares the primary's.
+type sibling struct {
+	l2, l3 *cache.Cache
+}
+
+// withLower returns the snapshot a run whose lower levels were st's
+// would have counted. Every load and store that reaches the L2 missed
+// the shared L1D, so the totals below the L1 are the same for every
+// sibling; only their L2-hit/L3-hit/memory split moves, to the
+// sibling's own L2 and L3 load and store demand hits.
+func (s counterSnap) withLower(st sibling) counterSnap {
+	l2Loads, l2Data := s.loadLevel[cache.HitL2], s.dataLevel[cache.HitL2]
+	if st.l2 != nil {
+		l2Loads, l2Data = demandHits(st.l2)
+	}
+	l3Loads, l3Data := demandHits(st.l3)
+	s.loadLevel = resplit(s.loadLevel, l2Loads, l3Loads)
+	s.dataLevel = resplit(s.dataLevel, l2Data, l3Data)
 	return s
+}
+
+// demandHits returns c's load hits and its load plus store hits.
+func demandHits(c *cache.Cache) (loads, data uint64) {
+	loads = c.LoadStats().Hits
+	return loads, loads + c.StoreStats().Hits
+}
+
+// resplit returns the per-level counts lv with everything below the L1
+// split into l2 L2 hits, l3 L3 hits and the rest from memory.
+func resplit(lv [4]uint64, l2, l3 uint64) [4]uint64 {
+	below := lv[cache.HitL2] + lv[cache.HitL3] + lv[cache.HitMemory]
+	lv[cache.HitL2], lv[cache.HitL3], lv[cache.HitMemory] = l2, l3, below-l2-l3
+	return lv
 }
 
 // core holds the per-stream simulation state.

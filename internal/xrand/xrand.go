@@ -4,13 +4,16 @@
 //
 // Everything in this package is reproducible: the same seed always yields
 // the same stream, independent of Go version or platform. No global state
-// is used, so concurrent simulations of different application-input pairs
-// never interfere with each other.
+// affects a stream, so concurrent simulations of different
+// application-input pairs never interfere with each other; the one
+// process-wide table, the Zipf prefix sums, is a memo of values every
+// caller would compute identically.
 package xrand
 
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // SplitMix64 is the splitmix64 generator of Steele, Lea and Flood. It is
@@ -470,12 +473,18 @@ func NewZipf(n int, s float64) *Zipf {
 	if s < 0 {
 		panic("xrand: NewZipf with negative exponent")
 	}
-	fcdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		fcdf[i] = sum
+	sums := zipfPrefix(n, s)
+	if len(sums) < n {
+		sums = zipfExtend(append(make([]float64, 0, n), sums...), n, s)
 	}
+	return zipfFromSums(sums)
+}
+
+// zipfFromSums builds the sampler whose item weights are the
+// successive differences of the prefix sums fcdf.
+func zipfFromSums(fcdf []float64) *Zipf {
+	n := len(fcdf)
+	sum := fcdf[n-1]
 	z := &Zipf{cdf: make([]uint32, n)}
 	for i := range fcdf {
 		v := math.Round(fcdf[i] / sum * (1 << 32))
@@ -496,6 +505,59 @@ func NewZipf(n int, s float64) *Zipf {
 		z.guide[b] = i
 	}
 	return z
+}
+
+// zipfMemoLen caps how many prefix sums the memo keeps per exponent;
+// NewZipf computes the terms of longer tables directly.
+const zipfMemoLen = 1 << 16
+
+// zipfMemoExponents caps how many exponents the memo keeps tables for.
+const zipfMemoExponents = 16
+
+// zipfSums memoizes, per exponent (by its bits), the unnormalized Zipf
+// prefix sums sums[i] = 1/1^s + ... + 1/(i+1)^s, each of which costs a
+// math.Pow. A table only ever grows by the same sequential additions,
+// so its first n entries are bit-identical to the sums a direct
+// computation of length n produces.
+var zipfSums struct {
+	mu  sync.Mutex
+	tab map[uint64][]float64
+}
+
+// zipfPrefix returns the first min(n, zipfMemoLen) prefix sums for
+// exponent s, growing its memo table as needed; nil when the memo holds
+// its cap of exponents and s is not among them. The returned entries
+// are never written again.
+func zipfPrefix(n int, s float64) []float64 {
+	n = min(n, zipfMemoLen)
+	key := math.Float64bits(s)
+	zipfSums.mu.Lock()
+	defer zipfSums.mu.Unlock()
+	t, ok := zipfSums.tab[key]
+	if !ok && len(zipfSums.tab) >= zipfMemoExponents {
+		return nil
+	}
+	if len(t) < n {
+		t = zipfExtend(t, n, s)
+		if zipfSums.tab == nil {
+			zipfSums.tab = make(map[uint64][]float64)
+		}
+		zipfSums.tab[key] = t
+	}
+	return t[:n]
+}
+
+// zipfExtend appends exponent-s prefix sums to sums until it holds n.
+func zipfExtend(sums []float64, n int, s float64) []float64 {
+	sum := 0.0
+	if len(sums) > 0 {
+		sum = sums[len(sums)-1]
+	}
+	for i := len(sums); i < n; i++ {
+		sum += 1 / math.Pow(float64(i+1), s)
+		sums = append(sums, sum)
+	}
+	return sums
 }
 
 // Sample draws an index using rng: one 32-bit draw, then an integer

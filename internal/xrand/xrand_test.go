@@ -1,7 +1,10 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -411,5 +414,101 @@ func TestZipfPickMatchesSample(t *testing.T) {
 		if z.Sample(a) != z.Pick(b.Uint32()) {
 			t.Fatalf("Zipf Pick diverged from Sample at draw %d", i)
 		}
+	}
+}
+
+// directZipf is NewZipf without the prefix-sum memo: every sum
+// computed afresh by the same sequential additions.
+func directZipf(n int, s float64) *Zipf {
+	sums := make([]float64, n)
+	sum := 0.0
+	for i := range sums {
+		sum += 1 / math.Pow(float64(i+1), s)
+		sums[i] = sum
+	}
+	return zipfFromSums(sums)
+}
+
+// resetZipfMemo empties the process-wide prefix-sum memo, so a test
+// sees the growth order it sets up.
+func resetZipfMemo() {
+	zipfSums.mu.Lock()
+	zipfSums.tab = nil
+	zipfSums.mu.Unlock()
+}
+
+// checkZipfDirect requires NewZipf(n, s) to equal the uncached build.
+func checkZipfDirect(t *testing.T, n int, s float64) {
+	t.Helper()
+	got, want := NewZipf(n, s), directZipf(n, s)
+	if got.guide != want.guide || len(got.cdf) != len(want.cdf) {
+		t.Fatalf("NewZipf(%d, %v): guide or length differs from the uncached build", n, s)
+	}
+	for i := range want.cdf {
+		if got.cdf[i] != want.cdf[i] {
+			t.Fatalf("NewZipf(%d, %v): cdf[%d] = %d, uncached %d", n, s, i, got.cdf[i], want.cdf[i])
+		}
+	}
+}
+
+// TestZipfMemoMatchesDirect: the memoized prefix sums give the cdf and
+// guide table the uncached computation does, whether the memo grows
+// through ascending lengths, is read by descending ones, or is asked
+// past its length cap or its exponent cap.
+func TestZipfMemoMatchesDirect(t *testing.T) {
+	resetZipfMemo()
+	defer resetZipfMemo()
+	lengths := []int{1, 2, 3, 16, 100, 1000, 9000, zipfMemoLen, zipfMemoLen + 777}
+	for _, s := range []float64{1.3, 1.2, 0, 0.5} {
+		for _, n := range lengths {
+			checkZipfDirect(t, n, s)
+		}
+	}
+	resetZipfMemo()
+	for _, s := range []float64{1.3, 2.0} {
+		for i := len(lengths) - 1; i >= 0; i-- {
+			checkZipfDirect(t, lengths[i], s)
+		}
+	}
+	for k := 0; k < zipfMemoExponents+3; k++ {
+		checkZipfDirect(t, 500, 1+float64(k)/64)
+	}
+	zipfSums.mu.Lock()
+	held := len(zipfSums.tab)
+	zipfSums.mu.Unlock()
+	if held > zipfMemoExponents {
+		t.Errorf("memo holds %d exponents, cap %d", held, zipfMemoExponents)
+	}
+}
+
+// TestZipfMemoConcurrent: concurrent builds that grow and read one
+// exponent's table all match the uncached build (run it under -race).
+func TestZipfMemoConcurrent(t *testing.T) {
+	resetZipfMemo()
+	defer resetZipfMemo()
+	want := map[int]*Zipf{}
+	lengths := []int{40, 4000, 400, 12000, 7, 2500}
+	for _, n := range lengths {
+		want[n] = directZipf(n, 1.3)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4*len(lengths))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range lengths {
+				n := lengths[(k+w)%len(lengths)]
+				z := NewZipf(n, 1.3)
+				if z.guide != want[n].guide || !slices.Equal(z.cdf, want[n].cdf) {
+					errs <- fmt.Sprintf("worker %d: NewZipf(%d, 1.3) differs from the uncached build", w, n)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
