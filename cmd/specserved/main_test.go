@@ -79,8 +79,16 @@ func submitWait(t *testing.T, base string, spec map[string]any) smokeStatus {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit = %d", resp.StatusCode)
 	}
+	// Read to EOF, not just to the end of the JSON value: the server
+	// counts the request only after its handler returns, and the
+	// chunked body's end is written after that, so callers that check
+	// the request metrics next see this request counted.
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st smokeStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	return st
